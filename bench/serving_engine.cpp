@@ -1,13 +1,12 @@
 // Serving-engine bench: checkout and checkin throughput vs connection
-// count, thread-per-connection runtime vs epoll engine, per-record vs
-// group-commit fsync — the numbers behind docs/SCALING.md.
+// count, per-record vs group-commit fsync — the numbers behind
+// docs/SCALING.md.
 //
-// Three server modes, all with a durable store attached under
+// Two engine modes, both with a durable store attached under
 // --fsync always semantics (every acked checkin is on the platter):
 //
-//   threads      core::TcpCrowdServer, one fsync per checkin;
-//   epoll        engine::EpollCrowdServer, still one fsync per checkin
-//                (group commit off isolates the event-loop effect);
+//   epoll        engine::EpollCrowdServer, one fsync per checkin
+//                (group commit off: the store appends per record);
 //   epoll+group  the full engine: batched applier, one fsync per batch.
 //
 // Plus the draw-and-discard pool (src/multimodel/) at k in {1, 2, 4, 8}
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/tcp_runtime.hpp"
 #include "engine/epoll_server.hpp"
 #include "multimodel/instance_pool.hpp"
 #include "store/durable_store.hpp"
@@ -150,23 +148,41 @@ struct Result {
   std::uint64_t version = 0;
 };
 
-enum class Mode { kThreads, kEpoll, kEpollGroup };
+enum class Mode { kEpoll, kEpollGroup };
 
 const char* mode_name(Mode m) {
-  switch (m) {
-    case Mode::kThreads: return "threads";
-    case Mode::kEpoll: return "epoll";
-    case Mode::kEpollGroup: return "epoll+group";
+  return m == Mode::kEpollGroup ? "epoll+group" : "epoll";
+}
+
+std::string make_temp_dir(const char* pattern) {
+  std::string dir = (std::filesystem::temp_directory_path() / pattern).string();
+  if (!mkdtemp(dir.data())) throw std::runtime_error("mkdtemp failed");
+  return dir;
+}
+
+/// Connect `conns` freshly enrolled clients to `port` and run the
+/// checkout phase, then the checkin phase. The clients disconnect on
+/// return, before the caller shuts the server down.
+Result drive(std::uint16_t port, net::AuthRegistry& registry,
+             std::size_t conns, long long total) {
+  std::vector<net::TcpConnection> sockets;
+  std::vector<ClientFrames> frames;
+  rng::Engine eng(42);
+  for (std::size_t c = 0; c < conns; ++c) {
+    frames.push_back(make_frames(registry.enroll(), eng));
+    auto conn = net::TcpConnection::connect("127.0.0.1", port, 2000);
+    if (!conn) throw std::runtime_error("bench client connect failed");
+    sockets.push_back(std::move(*conn));
   }
-  return "?";
+  Result r;
+  r.checkouts_per_s = hammer(sockets, frames, false, total);
+  r.checkins_per_s = hammer(sockets, frames, true, total);
+  return r;
 }
 
 Result run_mode(Mode mode, std::size_t conns, long long total) {
   Result r;
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "crowdml_serving_XXXXXX")
-          .string();
-  if (!mkdtemp(dir.data())) throw std::runtime_error("mkdtemp failed");
+  const std::string dir = make_temp_dir("crowdml_serving_XXXXXX");
   {
     core::Server server = make_server();
     net::AuthRegistry registry(rng::Engine(2));
@@ -178,48 +194,21 @@ Result run_mode(Mode mode, std::size_t conns, long long total) {
     store.attach(server);
 
     obs::MetricsRegistry metrics;  // isolate per-run engine instruments
-    std::unique_ptr<core::TcpCrowdServer> threads_srv;
-    std::unique_ptr<engine::EpollCrowdServer> epoll_srv;
-    std::uint16_t port = 0;
-    if (mode == Mode::kThreads) {
-      core::TcpServerConfig tcfg;
-      tcfg.max_connections = conns + 8;
-      threads_srv =
-          std::make_unique<core::TcpCrowdServer>(server, registry, tcfg);
-      port = threads_srv->port();
-    } else {
-      engine::EngineConfig ecfg;
-      ecfg.max_connections = conns + 8;
-      ecfg.checkin_queue_max = 4096;  // measure throughput, not shedding
-      ecfg.metrics = &metrics;
-      if (mode == Mode::kEpollGroup) {
-        store.set_group_commit(true);
-        store::DurableStore* s = &store;
-        ecfg.group_commit = [s] { return s->commit_group(); };
-      }
-      epoll_srv =
-          std::make_unique<engine::EpollCrowdServer>(server, registry, ecfg);
-      port = epoll_srv->port();
+    engine::EngineConfig ecfg;
+    ecfg.max_connections = conns + 8;
+    ecfg.checkin_queue_max = 4096;  // measure throughput, not shedding
+    ecfg.metrics = &metrics;
+    if (mode == Mode::kEpollGroup) {
+      store.set_group_commit(true);
+      store::DurableStore* s = &store;
+      ecfg.group_commit = [s] { return s->commit_group(); };
     }
+    engine::EpollCrowdServer epoll_srv(server, registry, ecfg);
 
-    std::vector<net::TcpConnection> sockets;
-    std::vector<ClientFrames> frames;
-    rng::Engine eng(42);
-    for (std::size_t c = 0; c < conns; ++c) {
-      frames.push_back(make_frames(registry.enroll(), eng));
-      auto conn = net::TcpConnection::connect("127.0.0.1", port, 2000);
-      if (!conn) throw std::runtime_error("bench client connect failed");
-      sockets.push_back(std::move(*conn));
-    }
-
-    r.checkouts_per_s = hammer(sockets, frames, false, total);
-    r.checkins_per_s = hammer(sockets, frames, true, total);
+    r = drive(epoll_srv.port(), registry, conns, total);
     r.fsyncs = store.wal().fsyncs();
     r.version = server.version();
-
-    sockets.clear();
-    if (threads_srv) threads_srv->shutdown();
-    if (epoll_srv) epoll_srv->shutdown();
+    epoll_srv.shutdown();
   }
   std::filesystem::remove_all(dir);
   return r;
@@ -239,10 +228,7 @@ Result run_mode(Mode mode, std::size_t conns, long long total) {
 /// rows above for that regime.
 Result run_pool(std::size_t k, std::size_t conns, long long total) {
   Result r;
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "crowdml_pool_XXXXXX")
-          .string();
-  if (!mkdtemp(dir.data())) throw std::runtime_error("mkdtemp failed");
+  const std::string dir = make_temp_dir("crowdml_pool_XXXXXX");
   {
     net::AuthRegistry registry(rng::Engine(2));
     obs::MetricsRegistry metrics;
@@ -275,24 +261,10 @@ Result run_pool(std::size_t k, std::size_t conns, long long total) {
     multimodel::wire_engine(pool, ecfg);
     engine::EpollCrowdServer epoll_srv(pool.server(0), registry, ecfg);
 
-    std::vector<net::TcpConnection> sockets;
-    std::vector<ClientFrames> frames;
-    rng::Engine eng(42);
-    for (std::size_t c = 0; c < conns; ++c) {
-      frames.push_back(make_frames(registry.enroll(), eng));
-      auto conn =
-          net::TcpConnection::connect("127.0.0.1", epoll_srv.port(), 2000);
-      if (!conn) throw std::runtime_error("bench client connect failed");
-      sockets.push_back(std::move(*conn));
-    }
-
-    r.checkouts_per_s = hammer(sockets, frames, false, total);
-    r.checkins_per_s = hammer(sockets, frames, true, total);
+    r = drive(epoll_srv.port(), registry, conns, total);
     for (std::size_t i = 0; i < k; ++i)
       r.fsyncs += pool.store(i)->wal().fsyncs();
     r.version = pool.total_version();
-
-    sockets.clear();
     epoll_srv.shutdown();  // shutdown_drain drains the pool
   }
   std::filesystem::remove_all(dir);
@@ -314,18 +286,18 @@ int main(int argc, char** argv) {
   const bench::Options o = bench::options();
   const long long total = std::max(512, static_cast<int>(8000 * o.scale));
   bench::header("serving_engine",
-                "threads vs epoll engine: throughput vs connections, "
+                "epoll engine: throughput vs connections, "
                 "per-record vs group-commit fsync", o);
   std::printf("%lld exchanges per phase, %zu-double gradients, "
               "fsync=always throughout\n\n",
               total, kClasses * kDim);
 
   const std::size_t conn_counts[] = {16, 64, 256};
-  const Mode modes[] = {Mode::kThreads, Mode::kEpoll, Mode::kEpollGroup};
+  const Mode modes[] = {Mode::kEpoll, Mode::kEpollGroup};
 
   std::printf("%-12s %6s %14s %14s %10s %14s\n", "engine", "conns",
               "checkouts/s", "checkins/s", "fsyncs", "fsyncs/checkin");
-  double threads_256 = 0.0, epoll_group_256 = 0.0;
+  double epoll_256 = 0.0, epoll_group_256 = 0.0;
   long long group_fsyncs_256 = 0;
   struct Row {
     Mode mode;
@@ -341,7 +313,7 @@ int main(int argc, char** argv) {
                   conns, r.checkouts_per_s, r.checkins_per_s, r.fsyncs,
                   static_cast<double>(r.fsyncs) /
                       static_cast<double>(std::max<std::uint64_t>(r.version, 1)));
-      if (conns == 256 && mode == Mode::kThreads) threads_256 = r.checkins_per_s;
+      if (conns == 256 && mode == Mode::kEpoll) epoll_256 = r.checkins_per_s;
       if (conns == 256 && mode == Mode::kEpollGroup) {
         epoll_group_256 = r.checkins_per_s;
         group_fsyncs_256 = r.fsyncs;
@@ -383,7 +355,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  const bool speedup_ok = epoll_group_256 >= 4.0 * threads_256;
+  const bool speedup_ok = epoll_group_256 >= 4.0 * epoll_256;
   const bool fsync_ok = group_fsyncs_256 < total;
   // The single-applier commit clock is the ceiling being measured: k = 1
   // serializes one fsync per acked update, k = 8 overlaps eight commit
@@ -400,7 +372,8 @@ int main(int argc, char** argv) {
   const bool pool_ok = pool_ratio >= 1.5;
   const bool pool_3x = pool_ratio >= 3.0;
   bench::check(speedup_ok,
-               "epoll+group >= 4x threads checkin throughput at 256 conns");
+               "epoll+group >= 4x epoll (per-record commit) checkin "
+               "throughput at 256 conns");
   bench::check(fsync_ok, "group commit fsyncs fewer times than it acks");
   bench::check(pool_ok,
                "multimodel k=8 >= 1.5x k=1 checkin throughput at 256 conns");
@@ -448,7 +421,7 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  ],\n  \"multimodel_k8_over_k1\": %.2f,\n"
                  "  \"checks\": {\n"
-                 "    \"epoll_group_4x_threads_at_256\": %s,\n"
+                 "    \"epoll_group_4x_epoll_at_256\": %s,\n"
                  "    \"group_commit_batches_fsyncs\": %s,\n"
                  "    \"multimodel_k8_1_5x_k1_at_256\": %s,\n"
                  "    \"multimodel_k8_3x_k1_at_256\": %s\n  }\n}\n",

@@ -34,6 +34,7 @@
 #include "core/monitor.hpp"
 #include "core/tcp_runtime.hpp"
 #include "data/mixture.hpp"
+#include "engine/epoll_server.hpp"
 #include "models/logistic_regression.hpp"
 #include "net/fault_proxy.hpp"
 #include "obs/metrics.hpp"
@@ -89,23 +90,23 @@ int main(int argc, char** argv) {
                       rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
 
-  core::TcpServerConfig tcfg;
-  tcfg.bind_address = bind_address;
-  tcfg.port = port;
-  tcfg.max_connections = 64;
-  tcfg.idle_timeout_ms = chaos_mode ? 2000 : 30000;
-  tcfg.metrics = &metrics;
-  tcfg.trace = trace.get();
-  std::optional<core::TcpCrowdServer> maybe_server;
+  engine::EngineConfig ecfg;
+  ecfg.bind_address = bind_address;
+  ecfg.port = port;
+  ecfg.max_connections = 64;
+  ecfg.idle_timeout_ms = chaos_mode ? 2000 : 30000;
+  ecfg.metrics = &metrics;
+  ecfg.trace = trace.get();
+  std::optional<engine::EpollCrowdServer> maybe_server;
   try {
-    maybe_server.emplace(server, registry, tcfg);
+    maybe_server.emplace(server, registry, ecfg);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tcp_crowd: cannot listen on %s:%u (%s)\n",
-                 tcfg.bind_address.c_str(), tcfg.port, e.what());
+                 ecfg.bind_address.c_str(), ecfg.port, e.what());
     return 1;
   }
-  core::TcpCrowdServer& tcp_server = *maybe_server;
-  std::printf("server listening on %s:%u\n", tcfg.bind_address.c_str(),
+  engine::EpollCrowdServer& tcp_server = *maybe_server;
+  std::printf("server listening on %s:%u\n", ecfg.bind_address.c_str(),
               tcp_server.port());
 
   // Chaos mode: interpose the seeded fault proxy so every device leg can
@@ -170,13 +171,13 @@ int main(int argc, char** argv) {
   std::printf("true test error of the learned model: %.4f\n", err);
 
   // Transport health: device-side retry/reconnect counters merged with the
-  // server's accept/refuse/reap counters would come from separate hosts in
-  // a real deployment; here we print both.
+  // server's accept/refuse/idle-close counters would come from separate
+  // hosts in a real deployment; here we print both.
   std::printf("\n%s", core::transport_report(transport.snapshot()).c_str());
   const auto srv = tcp_server.net_snapshot();
-  std::printf("server: accepted=%lld refused=%lld idle-closed=%lld reaped=%lld\n",
+  std::printf("server: accepted=%lld refused=%lld idle-closed=%lld\n",
               srv.accepted_connections, srv.refused_connections,
-              srv.idle_closed, srv.reaped_workers);
+              srv.idle_closed);
 
   if (proxy) proxy->shutdown();
   tcp_server.shutdown();

@@ -37,10 +37,6 @@ NetCounters::NetCounters(obs::MetricsRegistry* registry)
           "crowdml_net_idle_closed_total",
           "Connections closed by the idle-timeout reaper",
           obs::Provenance::kTransportEvent)),
-      reaped_workers(registry_.counter(
-          "crowdml_net_reaped_workers_total",
-          "Finished per-connection worker threads joined",
-          obs::Provenance::kTransportEvent)),
       retry_after_honored(registry_.counter(
           "crowdml_net_retry_after_honored_total",
           "Server retry_after hints honored as the next backoff delay",
@@ -69,7 +65,6 @@ NetCountersSnapshot NetCounters::snapshot() const {
   s.accepted_connections = accepted_connections.value();
   s.refused_connections = refused_connections.value();
   s.idle_closed = idle_closed.value();
-  s.reaped_workers = reaped_workers.value();
   s.retry_after_honored = retry_after_honored.value();
   s.redirects_followed = redirects_followed.value();
   s.pace_hints_honored = pace_hints_honored.value();
@@ -87,7 +82,6 @@ std::string transport_report(const NetCountersSnapshot& net) {
   out << "connections accepted:   " << net.accepted_connections << "\n";
   out << "connections refused:    " << net.refused_connections << "\n";
   out << "idle connections closed: " << net.idle_closed << "\n";
-  out << "workers reaped:         " << net.reaped_workers << "\n";
   out << "retry hints honored:    " << net.retry_after_honored << "\n";
   out << "redirects followed:     " << net.redirects_followed << "\n";
   out << "pace hints honored:     " << net.pace_hints_honored << "\n";

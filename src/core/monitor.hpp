@@ -32,7 +32,6 @@ struct NetCountersSnapshot {
   long long accepted_connections = 0;
   long long refused_connections = 0;
   long long idle_closed = 0;
-  long long reaped_workers = 0;
   long long retry_after_honored = 0;
   long long redirects_followed = 0;
   long long pace_hints_honored = 0;
@@ -40,8 +39,8 @@ struct NetCountersSnapshot {
 };
 
 /// Shared transport-health counters. Device sessions record timeouts,
-/// retries, reconnects and abandoned checkins; TcpCrowdServer records
-/// accept/refuse/idle-close/reap events. Every field is a registry-backed
+/// retries, reconnects and abandoned checkins; engine::EpollCrowdServer
+/// records accept/refuse/idle-close events. Every field is a registry-backed
 /// obs::Counter (names `crowdml_net_*_total`), so the runtime threads and
 /// the portal reader never race, and an exporter sees the live values.
 ///
@@ -69,7 +68,6 @@ class NetCounters {
   obs::Counter& accepted_connections;
   obs::Counter& refused_connections;
   obs::Counter& idle_closed;
-  obs::Counter& reaped_workers;
   /// Nacks carrying a server retry_after hint that a device session
   /// honored as its next backoff delay (load shedding made visible).
   obs::Counter& retry_after_honored;

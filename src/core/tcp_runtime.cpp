@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 
 #include "rng/distributions.hpp"
 
@@ -78,139 +79,6 @@ std::optional<std::string> redirect_target(const net::Bytes& frame) {
 }
 
 }  // namespace
-
-TcpCrowdServer::TcpCrowdServer(Server& server, net::AuthRegistry& auth,
-                               std::uint16_t port)
-    : TcpCrowdServer(server, auth, TcpServerConfig{.port = port}) {}
-
-TcpCrowdServer::TcpCrowdServer(Server& server, net::AuthRegistry& auth,
-                               TcpServerConfig config)
-    : config_(std::move(config)),
-      protocol_(server, auth, config_.trace),
-      counters_(config_.metrics),
-      handle_seconds_(
-          (config_.metrics ? *config_.metrics : obs::default_registry())
-              .histogram("crowdml_server_handle_seconds",
-                         "Whole request dispatch: decode, authenticate, "
-                         "apply, encode",
-                         obs::Provenance::kTiming)) {
-  protocol_.set_secagg(config_.secagg);
-  auto listener = net::TcpListener::bind(config_.bind_address, config_.port);
-  if (!listener) throw std::runtime_error("TcpCrowdServer: bind failed");
-  listener_ = std::move(*listener);
-  port_ = listener_.port();
-  acceptor_ = std::thread([this] { accept_loop(); });
-  if (config_.reap_interval_ms > 0)
-    reaper_ = std::thread([this] { reap_loop(); });
-}
-
-TcpCrowdServer::~TcpCrowdServer() { shutdown(); }
-
-void TcpCrowdServer::accept_loop() {
-  while (!stopping_.load()) {
-    auto conn = listener_.accept();
-    if (!conn) break;  // listener closed
-    std::lock_guard lock(workers_mu_);
-    if (stopping_.load()) break;
-    reap_finished_locked();
-    if (workers_.size() >= config_.max_connections) {
-      // Graceful refusal: tell the device why before hanging up, so its
-      // next backoff delay is informed rather than a mystery EOF.
-      ++counters_.refused_connections;
-      if (config_.trace)
-        config_.trace->event("refusal", {{"reason", "server at capacity"}});
-      const net::AckMessage nack{
-          false, net::retry_after_reason("server at capacity",
-                                         config_.capacity_retry_after_ms)};
-      conn->set_deadline_ms(1000);
-      conn->send_frame(
-          net::encode_frame(net::MessageType::kAck, nack.serialize()));
-      continue;  // conn destructs -> closed
-    }
-    ++counters_.accepted_connections;
-    if (config_.trace) config_.trace->event("accept");
-    auto c = std::make_shared<net::TcpConnection>(std::move(*conn));
-    c->set_deadline_ms(config_.idle_timeout_ms);
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    Worker w;
-    w.conn = c;
-    w.done = done;
-    w.thread = std::thread([this, c, done] {
-      serve(c);
-      done->store(true);
-    });
-    workers_.push_back(std::move(w));
-  }
-}
-
-void TcpCrowdServer::serve(const std::shared_ptr<net::TcpConnection>& conn) {
-  while (!stopping_.load()) {
-    auto frame = conn->recv_frame();
-    if (!frame) {
-      if (conn->last_error() == net::NetError::kTimeout) {
-        ++counters_.idle_closed;
-        if (config_.trace) config_.trace->event("idle_close");
-      }
-      break;  // EOF / error / idle deadline
-    }
-    net::Bytes response;
-    {
-      obs::TimedScope timer(handle_seconds_);
-      response = protocol_.handle(*frame);
-    }
-    if (!conn->send_frame(response)) break;
-  }
-  conn->shutdown_both();
-}
-
-void TcpCrowdServer::reap_loop() {
-  // Periodic reap so an idle listener (no accepts arriving) still joins
-  // finished workers instead of holding their resources until the next
-  // connection — or forever.
-  std::unique_lock stop_lock(stop_mu_);
-  while (!stopping_.load()) {
-    stop_cv_.wait_for(stop_lock,
-                      std::chrono::milliseconds(config_.reap_interval_ms),
-                      [this] { return stopping_.load(); });
-    if (stopping_.load()) break;
-    std::lock_guard lock(workers_mu_);
-    reap_finished_locked();
-  }
-}
-
-void TcpCrowdServer::reap_finished_locked() {
-  for (auto& w : workers_) {
-    if (w.done->load() && w.thread.joinable()) {
-      w.thread.join();
-      ++counters_.reaped_workers;
-    }
-  }
-  workers_.erase(std::remove_if(workers_.begin(), workers_.end(),
-                                [](const Worker& w) {
-                                  return !w.thread.joinable();
-                                }),
-                 workers_.end());
-}
-
-void TcpCrowdServer::shutdown() {
-  if (stopping_.exchange(true)) return;
-  {
-    std::lock_guard lock(stop_mu_);
-    stop_cv_.notify_all();
-  }
-  listener_.close();
-  if (acceptor_.joinable()) acceptor_.join();
-  if (reaper_.joinable()) reaper_.join();
-  std::vector<Worker> workers;
-  {
-    std::lock_guard lock(workers_mu_);
-    workers = std::move(workers_);
-  }
-  // Unblock workers parked in recv_frame, then join.
-  for (auto& w : workers) w.conn->shutdown_both();
-  for (auto& w : workers)
-    if (w.thread.joinable()) w.thread.join();
-}
 
 TcpDeviceSession::TcpDeviceSession(const std::string& host, std::uint16_t port)
     : TcpDeviceSession(host, port, net::TcpConnection::kNoDeadline,

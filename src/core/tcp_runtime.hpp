@@ -1,128 +1,29 @@
-// TCP deployment of the Crowd-ML server and device clients.
+// Device-side TCP sessions for the Crowd-ML protocol.
 //
-// TcpCrowdServer accepts device connections on a listener thread and
-// serves each connection on its own worker thread (frame in -> dispatch
-// through ProtocolServer -> frame out), mirroring the prototype's
-// Apache-fronted deployment. TcpDeviceSession is a device's persistent
-// connection implementing DeviceClient's Exchange.
+// TcpDeviceSession is a device's persistent connection implementing
+// DeviceClient's Exchange; the server side is engine::EpollCrowdServer.
 //
 // Fault tolerance (Remark 1: devices ride a lossy public network and
-// "retry later" when a leg is lost):
-//   - the server enforces per-connection idle deadlines, caps concurrent
-//     connections with a graceful refusal, and reaps finished worker
-//     threads so long-lived deployments don't leak;
-//   - ReconnectingDeviceSession wraps TcpDeviceSession with capped
-//     exponential backoff + jitter, transparently re-establishing the
-//     connection across drops. A checkout may be retried freely; a
-//     checkin whose send already started is abandoned, never replayed —
-//     the server may have applied it before the ack was lost, and a
-//     replay would double-spend the minibatch's privacy budget.
+// "retry later" when a leg is lost): ReconnectingDeviceSession wraps
+// TcpDeviceSession with capped exponential backoff + jitter,
+// transparently re-establishing the connection across drops. A checkout
+// may be retried freely; a checkin whose send already started is
+// abandoned, never replayed — the server may have applied it before the
+// ack was lost, and a replay would double-spend the minibatch's privacy
+// budget.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/monitor.hpp"
 #include "core/protocol.hpp"
 #include "net/tcp.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "rng/engine.hpp"
 
 namespace crowdml::core {
-
-struct TcpServerConfig {
-  /// Interface to listen on; "0.0.0.0" exposes the server beyond loopback.
-  std::string bind_address = "127.0.0.1";
-  std::uint16_t port = 0;  ///< 0 = ephemeral (see TcpCrowdServer::port())
-  /// Concurrent-connection cap; further connections receive a
-  /// "server at capacity" nack and are closed (counted as refused).
-  std::size_t max_connections = 256;
-  /// retry_after_ms hint appended to the capacity nack so a refused
-  /// device backs off by what the server asked rather than guessing.
-  int capacity_retry_after_ms = 250;
-  /// Period of the background worker reaper. Without it, finished worker
-  /// threads are only joined when the next connection arrives, so an idle
-  /// listener holds dead-thread resources indefinitely. <= 0 disables.
-  int reap_interval_ms = 1000;
-  /// Per-connection receive deadline. A device silent for this long has
-  /// its connection closed (counted as idle_closed); devices reconnect on
-  /// their next cycle. kNoDeadline disables the reaper.
-  int idle_timeout_ms = net::TcpConnection::kNoDeadline;
-  /// Registry for the server's transport counters and dispatch-latency
-  /// histogram (null = obs::default_registry()). Must outlive the server.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Sink for lifecycle trace events (accept, refusal, idle_close, plus
-  /// the per-message events ProtocolServer emits: checkout, checkin,
-  /// update_applied, staleness, rejections). Null disables tracing. Must
-  /// outlive the server.
-  obs::TraceSink* trace = nullptr;
-  /// Secure-aggregation cohort manager (docs/PRIVACY.md); frame types
-  /// 11-13 dispatch to it after authentication. Null disables. Must
-  /// outlive the server.
-  secagg::CohortManager* secagg = nullptr;
-};
-
-class TcpCrowdServer {
- public:
-  /// Binds 127.0.0.1:`port` (0 = ephemeral) and starts the accept loop.
-  /// Throws std::runtime_error if the bind fails.
-  TcpCrowdServer(Server& server, net::AuthRegistry& auth, std::uint16_t port);
-
-  /// Full configuration (bind address, connection cap, idle timeout).
-  TcpCrowdServer(Server& server, net::AuthRegistry& auth,
-                 TcpServerConfig config);
-  ~TcpCrowdServer();
-
-  TcpCrowdServer(const TcpCrowdServer&) = delete;
-  TcpCrowdServer& operator=(const TcpCrowdServer&) = delete;
-
-  std::uint16_t port() const { return port_; }
-  const ProtocolServer& protocol() const { return protocol_; }
-
-  /// Transport-health counters (accepted/refused/idle-closed/reaped).
-  const NetCounters& net_counters() const { return counters_; }
-  NetCountersSnapshot net_snapshot() const { return counters_.snapshot(); }
-
-  /// Stop accepting, close the listener, and join all workers.
-  void shutdown();
-
- private:
-  struct Worker {
-    std::thread thread;
-    std::shared_ptr<net::TcpConnection> conn;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-
-  void accept_loop();
-  void reap_loop();
-  void serve(const std::shared_ptr<net::TcpConnection>& conn);
-  /// Join and drop workers whose serve loop has finished. Caller holds
-  /// workers_mu_.
-  void reap_finished_locked();
-
-  TcpServerConfig config_;
-  ProtocolServer protocol_;
-  net::TcpListener listener_;
-  std::uint16_t port_ = 0;
-  std::thread acceptor_;
-  std::thread reaper_;
-  std::mutex workers_mu_;
-  std::vector<Worker> workers_;
-  std::atomic<bool> stopping_{false};
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;  ///< wakes the reaper on shutdown
-  NetCounters counters_;
-  /// Whole-dispatch latency (decode + auth + server update + encode).
-  obs::Histogram& handle_seconds_;
-};
 
 /// A device's persistent TCP session; usable as DeviceClient::Exchange.
 class TcpDeviceSession {

@@ -2,8 +2,8 @@
 //
 // I/O threads (producers) enqueue every non-checkout frame; the single
 // applier thread (consumer) drains them in arrival order and applies the
-// SGD updates, which keeps the server's update sequence identical to the
-// thread-per-connection runtime's serialized order. The bound is the
+// SGD updates, so the server's update sequence is the order the requests
+// were admitted in (engine/applier.hpp). The bound is the
 // admission-control valve: when the applier falls behind, try_push fails
 // and the I/O thread sheds the request with a retry_after nack instead
 // of letting the backlog (and every device's latency) grow without

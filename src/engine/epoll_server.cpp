@@ -1,11 +1,9 @@
 #include "engine/epoll_server.hpp"
 
-#include <chrono>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
-#include "obs/profile.hpp"
+#include "engine/applier.hpp"
 
 namespace crowdml::engine {
 
@@ -44,10 +42,7 @@ EpollCrowdServer::EpollCrowdServer(core::Server& server,
           "crowdml_engine_checkouts_served_total",
           "Checkouts answered from the snapshot board on an I/O thread",
           obs::Provenance::kTransportEvent)),
-      commit_failures_(registry_of(config_).counter(
-          "crowdml_engine_commit_failures_total",
-          "Applier batches whose group commit failed (all acks nacked)",
-          obs::Provenance::kTransportEvent)),
+      commit_failures_(commit_failures_counter(registry_of(config_))),
       checkins_redirected_(registry_of(config_).counter(
           "crowdml_engine_checkins_redirected_total",
           "Checkins refused with a not-leader redirect (follower mode)",
@@ -61,16 +56,7 @@ EpollCrowdServer::EpollCrowdServer(core::Server& server,
           "crowdml_engine_stale_checkouts_refused_total",
           "Checkouts nacked because the replica's applied position lagged "
           "the leader's committed watermark past --max-read-lag",
-          obs::Provenance::kTransportEvent)),
-      batch_size_(registry_of(config_).histogram(
-          "crowdml_engine_batch_size",
-          "Checkins applied per applier wakeup (group-commit batch)",
-          obs::Provenance::kTransportEvent,
-          obs::exponential_bounds(1.0, 2.0, 10))),
-      handle_seconds_(registry_of(config_).histogram(
-          "crowdml_server_handle_seconds",
-          "Whole request dispatch: decode, authenticate, apply, encode",
-          obs::Provenance::kTiming)) {
+          obs::Provenance::kTransportEvent)) {
   if (config_.io_threads == 0) config_.io_threads = 1;
   if (config_.checkin_batch_max == 0) config_.checkin_batch_max = 1;
   group_commit_ = std::move(config_.group_commit);
@@ -100,7 +86,18 @@ EpollCrowdServer::EpollCrowdServer(core::Server& server,
   listener_ = std::move(*listener);
   port_ = listener_.port();
   acceptor_ = std::thread([this] { accept_loop(); });
-  applier_ = std::thread([this] { applier_loop(); });
+  applier_ = std::thread([this] {
+    run_applier({.queue = queue_,
+                 .server = server_,
+                 .protocol = protocol_,
+                 .board = board_,
+                 .batch_max = config_.checkin_batch_max,
+                 .commit = [this] { return group_commit(); },
+                 .coordinator = config_.coordinator,
+                 .publish_paused = &redirect_active_,
+                 .metrics = config_.metrics,
+                 .trace = config_.trace});
+  });
 }
 
 EpollCrowdServer::~EpollCrowdServer() { shutdown(); }
@@ -116,9 +113,11 @@ void EpollCrowdServer::accept_loop() {
     auto conn = listener_.accept();
     if (!conn) break;  // listener closed
     if (stopping_.load()) break;
+    // connections() counts every fd handed to adopt() and not yet
+    // closed, so a burst of connects accepted before the loops register
+    // them still meets the cap.
     if (connections() >= config_.max_connections) {
-      // Same graceful refusal as the legacy runtime: say why, with a
-      // retry hint, before hanging up.
+      // Graceful refusal: say why, with a retry hint, before hanging up.
       ++counters_.refused_connections;
       if (config_.trace)
         config_.trace->event("refusal", {{"reason", "server at capacity"}});
@@ -272,116 +271,6 @@ void EpollCrowdServer::on_frame(EventLoop* loop, std::uint64_t conn_id,
   }
 }
 
-void EpollCrowdServer::applier_loop() {
-  using Clock = std::chrono::steady_clock;
-  std::vector<CheckinWork> batch;
-  std::vector<net::Bytes> responses;
-  std::vector<std::uint8_t> classes;
-  for (;;) {
-    batch.clear();
-    responses.clear();
-    classes.clear();
-    const std::size_t n = queue_.drain(batch, config_.checkin_batch_max, 100);
-    board_.refresh_age_gauge();
-    if (n == 0) {
-      if (queue_.closed()) break;
-      continue;
-    }
-    // Steering inputs: backlog left behind after this drain, and the
-    // batch's apply/commit wall time (fsync stalls discount capacity).
-    if (config_.coordinator)
-      config_.coordinator->observe_queue_depth(queue_.depth());
-    const Clock::time_point apply_start = Clock::now();
-
-    // Apply in arrival order — the server's update sequence is exactly
-    // the serialized order the legacy runtime would have produced.
-    responses.reserve(n);
-    classes.reserve(n);
-    for (const CheckinWork& work : batch) {
-      obs::TimedScope timer(handle_seconds_);
-      std::uint8_t cls = net::kDefaultDeviceClass;
-      responses.push_back(protocol_.handle(work.frame, &cls));
-      classes.push_back(cls);
-    }
-    const Clock::time_point commit_start = Clock::now();
-
-    // Group commit: one WAL fsync for the whole batch. On failure every
-    // ok-ack in the batch becomes a durability nack — the acks have not
-    // left yet, so "acked => durable" still never lies. The hook is
-    // copied under its lock each batch so promotion can swap it in
-    // between commits.
-    std::function<bool()> commit;
-    {
-      std::lock_guard<std::mutex> lock(gc_mu_);
-      commit = group_commit_;
-    }
-    const bool commit_ok = !commit || commit();
-    if (config_.coordinator)
-      config_.coordinator->observe_commit(
-          n, std::chrono::duration<double>(commit_start - apply_start).count(),
-          std::chrono::duration<double>(Clock::now() - commit_start).count());
-    if (!commit_ok) {
-      ++commit_failures_;
-      if (config_.trace)
-        config_.trace->event("group_commit_failed", {{"batch", n}});
-      const net::AckMessage nack{false, "durability failure"};
-      const net::Bytes nack_frame =
-          net::encode_frame(net::MessageType::kAck, nack.serialize());
-      for (std::size_t i = 0; i < n; ++i) {
-        if (batch[i].frame.size() <= net::kFrameTypeOffset ||
-            batch[i].frame[net::kFrameTypeOffset] !=
-                static_cast<std::uint8_t>(net::MessageType::kCheckin))
-          continue;
-        try {
-          const net::Frame f = net::decode_frame(responses[i]);
-          if (f.type == net::MessageType::kAck &&
-              net::AckMessage::deserialize(f.payload).ok)
-            responses[i] = nack_frame;
-        } catch (const net::CodecError&) {
-          // responses we encoded ourselves always decode; keep as-is
-        }
-      }
-    }
-
-    // Pace steering: every checkin ack (ok, rejection, or the durability
-    // nack above — the device is coming back either way) carries a
-    // consuming hint that reserves its class's next arrival slot. Runs
-    // after the nack rewrite so the hint survives it.
-    if (config_.coordinator) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (batch[i].frame.size() <= net::kFrameTypeOffset ||
-            batch[i].frame[net::kFrameTypeOffset] !=
-                static_cast<std::uint8_t>(net::MessageType::kCheckin))
-          continue;
-        responses[i] = net::frame_with_checkin_hint(
-            responses[i], config_.coordinator->checkin_hint_ms(classes[i]));
-      }
-    }
-
-    // Publish before releasing acks: a device that sees its ack and
-    // immediately checks out gets a snapshot that includes its update.
-    // In follower mode the replication thread is the board's single
-    // publisher (via republish()); the applier only ever saw
-    // non-checkin frames, so it has nothing new to publish anyway.
-    if (!redirect_active_.load(std::memory_order_acquire))
-      board_.publish(server_);
-    batch_size_.observe(static_cast<double>(n));
-
-    // Release acks grouped per event loop: one wakeup carries the whole
-    // batch's responses instead of one post per response.
-    std::unordered_map<EventLoop*, std::vector<std::pair<std::uint64_t, net::Bytes>>>
-        by_loop;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (batch[i].complete)
-        batch[i].complete(std::move(responses[i]));
-      else if (batch[i].loop)
-        by_loop[batch[i].loop].emplace_back(batch[i].conn_id,
-                                            std::move(responses[i]));
-    }
-    for (auto& [loop, items] : by_loop) loop->send_many(std::move(items));
-  }
-}
-
 void EpollCrowdServer::republish() { board_.publish(server_); }
 
 void EpollCrowdServer::set_checkin_redirect(const std::string& leader_addr) {
@@ -398,6 +287,17 @@ void EpollCrowdServer::set_checkin_redirect(const std::string& leader_addr) {
 void EpollCrowdServer::set_group_commit(std::function<bool()> hook) {
   std::lock_guard<std::mutex> lock(gc_mu_);
   group_commit_ = std::move(hook);
+}
+
+bool EpollCrowdServer::group_commit() {
+  // Copied under its lock each batch so promotion can swap the hook in
+  // between commits.
+  std::function<bool()> commit;
+  {
+    std::lock_guard<std::mutex> lock(gc_mu_);
+    commit = group_commit_;
+  }
+  return !commit || commit();
 }
 
 void EpollCrowdServer::shutdown() {

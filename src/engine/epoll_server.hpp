@@ -1,23 +1,20 @@
-// Scalable serving engine: epoll event loops + snapshot checkouts +
-// batched checkin application with group commit.
+// The serving engine: epoll event loops + snapshot checkouts + batched
+// checkin application with group commit.
 //
-// The thread-per-connection runtime (core::TcpCrowdServer) spends one OS
-// thread per device and funnels every request — reads and writes alike —
-// through the server's state lock, and with `--fsync always` pays one
-// fsync per checkin. This engine restructures the same protocol around
-// the workload's actual shape (Section IV-B: checkouts vastly outnumber
-// and out-size checkins; checkins are small but must serialize):
+// The protocol's workload has a known shape (Section IV-B: checkouts
+// vastly outnumber and out-size checkins; checkins are small but must
+// serialize), and the engine is built around it:
 //
 //   - a configurable pool of epoll EventLoops multiplexes all device
 //     connections on a few threads (nonblocking frame state machines
-//     reusing the net:: codec and deadline semantics);
+//     reusing the net:: codec and deadline semantics) — no OS thread per
+//     device;
 //   - checkouts are served on the I/O thread from the
 //     ModelSnapshotBoard's pre-encoded frame — no state lock, no
 //     serialization work, no contention with updates;
 //   - checkins flow through a bounded MPSC CheckinQueue to one applier
-//     thread, which applies them in arrival order (the server's update
-//     sequence stays identical to the serialized legacy order), group-
-//     commits the whole batch's WAL appends with a single fsync
+//     thread (engine/applier.hpp), which applies them in arrival order,
+//     group-commits the whole batch's WAL appends with a single fsync
 //     (store::DurableStore::commit_group), republishes the board, and
 //     only then releases the acks — acked => durable still holds;
 //   - admission control: a full queue sheds with a machine-readable
@@ -25,9 +22,10 @@
 //     ReconnectingDeviceSession honors as its next delay, so overload
 //     degrades into scheduled retries instead of timeout storms.
 //
-// Observable behavior matches the legacy runtime in every ordering-
-// deterministic test: same frames, same acks, same final (w, t) for the
-// same arrival order. See docs/SCALING.md.
+// For one connection sending frames in order, every response byte and
+// the final (w, t) equal what core::ProtocolServer produces handling the
+// same frames directly (EngineParity in tests/engine_test.cpp). See
+// docs/SCALING.md.
 #pragma once
 
 #include <atomic>
@@ -62,8 +60,8 @@ struct EngineConfig {
   /// capacity nack with a retry hint and are closed.
   std::size_t max_connections = 256;
   int capacity_retry_after_ms = 250;
-  /// Close connections silent for this long (<= 0 disables), same
-  /// semantics as TcpServerConfig::idle_timeout_ms.
+  /// Close connections silent for this long (<= 0 disables; counted as
+  /// idle_closed). Devices reconnect on their next cycle.
   int idle_timeout_ms = -1;
   /// Bounded checkin queue: when full, requests are shed with a nack
   /// carrying this retry hint.
@@ -205,7 +203,8 @@ class EpollCrowdServer {
 
  private:
   void accept_loop();
-  void applier_loop();
+  /// The applier's commit step: the current group-commit hook, if any.
+  bool group_commit();
   /// Frame dispatch on an I/O thread: auth-valid checkouts are answered
   /// from the board; everything else is queued for the applier or shed.
   void on_frame(EventLoop* loop, std::uint64_t conn_id, net::Bytes&& frame);
@@ -242,8 +241,6 @@ class EpollCrowdServer {
   obs::Counter& checkins_redirected_;
   obs::Counter& checkins_wrong_shard_;
   obs::Counter& stale_checkouts_refused_;
-  obs::Histogram& batch_size_;
-  obs::Histogram& handle_seconds_;
 };
 
 }  // namespace crowdml::engine

@@ -84,16 +84,19 @@ void EventLoop::post(std::function<void()> fn) {
 
 void EventLoop::adopt(int fd) {
   if (fd < 0) return;
+  // Counted here, on the caller's thread, not when the loop registers the
+  // fd: an acceptor checking a connection cap must see the connection it
+  // has just handed over.
+  conn_count_.fetch_add(1);
   post([this, fd] {
-    if (stopping_.load()) {
+    if (stopping_.load() || !do_adopt(fd)) {
       ::close(fd);
-      return;
+      conn_count_.fetch_sub(1);
     }
-    do_adopt(fd);
   });
 }
 
-void EventLoop::do_adopt(int fd) {
+bool EventLoop::do_adopt(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   int one = 1;
@@ -107,12 +110,9 @@ void EventLoop::do_adopt(int fd) {
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = conn->id;
-  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-    ::close(fd);
-    return;
-  }
+  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
   conns_.emplace(conn->id, std::move(conn));
-  conn_count_.store(conns_.size());
+  return true;
 }
 
 void EventLoop::send(std::uint64_t conn_id, net::Bytes frame) {
@@ -221,7 +221,7 @@ void EventLoop::close_conn(std::uint64_t id) {
   if (it == conns_.end()) return;
   ::close(it->second->fd);
   conns_.erase(it);
-  conn_count_.store(conns_.size());
+  conn_count_.fetch_sub(1);
 }
 
 void EventLoop::sweep_idle() {
@@ -279,8 +279,8 @@ void EventLoop::run() {
     sweep_idle();
   }
   for (auto& [id, conn] : conns_) ::close(conn->fd);
+  conn_count_.fetch_sub(conns_.size());
   conns_.clear();
-  conn_count_.store(0);
 }
 
 void EventLoop::stop() {

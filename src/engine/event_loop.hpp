@@ -6,8 +6,7 @@
 // semantics — accumulate bytes, read the header's payload length (via
 // the net:: frame layout constants), reject lengths beyond
 // kMaxFieldLength, deliver complete frames — but without a thread parked
-// per socket: a single thread multiplexes hundreds of devices, which is
-// what lets the engine scale past the thread-per-connection runtime.
+// per socket: a single thread multiplexes hundreds of devices.
 //
 // Threading model: every connection is touched only by its loop thread.
 // Other threads talk to the loop through post() (a task queue flushed by
@@ -16,10 +15,9 @@
 // thread and must not block — the engine's handler either serves a
 // pre-encoded snapshot frame or enqueues the request for the applier.
 //
-// Deadline semantics: the legacy runtime's per-connection receive
-// deadline becomes an idle sweep — a connection with no inbound bytes
-// for idle_timeout_ms is closed and counted, same observable behavior,
-// no timer per socket.
+// Deadline semantics: the per-connection receive deadline is an idle
+// sweep — a connection with no inbound bytes for idle_timeout_ms is
+// closed and counted, with no timer per socket.
 #pragma once
 
 #include <atomic>
@@ -44,15 +42,13 @@ namespace crowdml::engine {
 class EventLoop {
  public:
   struct Options {
-    /// Close connections silent for this long (<= 0 disables), matching
-    /// TcpServerConfig::idle_timeout_ms semantics.
+    /// Close connections silent for this long (<= 0 disables).
     int idle_timeout_ms = -1;
     /// Registry for frame/protocol-error counters (null =
     /// obs::default_registry()). Must outlive the loop.
     obs::MetricsRegistry* metrics = nullptr;
     /// Counter bumped per idle-swept connection (the engine passes its
-    /// NetCounters::idle_closed so transport accounting matches the
-    /// legacy runtime). Null disables. Must outlive the loop.
+    /// NetCounters::idle_closed). Null disables. Must outlive the loop.
     obs::Counter* idle_closed = nullptr;
     /// Lifecycle trace events (idle_close, protocol_error). Null
     /// disables. Must outlive the loop.
@@ -73,9 +69,9 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// Take ownership of a connected socket (e.g. from
-  /// net::TcpConnection::release_fd). The fd is made nonblocking and
-  /// registered on the loop thread. Thread-safe. After stop() the fd is
-  /// closed instead.
+  /// net::TcpConnection::release_fd). The fd counts toward connections()
+  /// at once; it is made nonblocking and registered on the loop thread.
+  /// Thread-safe. After stop() the fd is closed instead.
   void adopt(int fd);
 
   /// Queue `frame` for `conn_id` and flush as far as the socket allows.
@@ -95,7 +91,8 @@ class EventLoop {
   /// Stop the loop, close every connection, and join the thread.
   void stop();
 
-  /// Live connections (approximate from other threads).
+  /// Connections adopted and not yet closed, including adopts still
+  /// queued for the loop thread.
   std::size_t connections() const { return conn_count_.load(); }
   long long frames_received() const { return frames_in_.value(); }
 
@@ -112,7 +109,8 @@ class EventLoop {
 
   void run();
   void run_tasks();
-  void do_adopt(int fd);
+  /// Register `fd` with epoll; false (fd untouched) on failure.
+  bool do_adopt(int fd);
   /// Read until EAGAIN, delivering complete frames. False = close.
   bool handle_readable(Conn& conn);
   /// Write queued frames until EAGAIN. False = fatal socket error.

@@ -1,8 +1,8 @@
 // Lock-free checkout serving: a versioned, atomically published model
 // snapshot.
 //
-// In the thread-per-connection runtime every checkout takes the server's
-// state lock to copy w (Server Routine 1). At scale that lock is the
+// Served through Server::handle_checkout, every checkout takes the
+// server's state lock to copy w (Server Routine 1). At scale that lock is the
 // bottleneck: checkouts are pure reads (handle_checkout mutates nothing),
 // yet they serialize against every checkin's SGD update. The board fixes
 // this with RCU-style publication: the applier thread builds a complete

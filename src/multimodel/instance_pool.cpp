@@ -1,11 +1,10 @@
 #include "multimodel/instance_pool.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
-#include "obs/profile.hpp"
+#include "engine/applier.hpp"
 #include "rng/engine.hpp"
 
 namespace crowdml::multimodel {
@@ -28,10 +27,6 @@ std::uint64_t mix64(std::uint64_t z) {
 constexpr std::uint64_t kStreamStep = 0x9E3779B97F4A7C15ULL;
 /// Overwrite-record kind tag inside the opaque envelope.
 constexpr std::uint32_t kOverwriteKind = 1;
-/// Commit an overwrite-only batch once this many overwrite records sit
-/// uncommitted — bounds the unflushed WAL tail (and the replication lag)
-/// on an instance that keeps losing draws without winning any routes.
-constexpr std::size_t kLazyOverwriteFlush = 64;
 
 }  // namespace
 
@@ -58,11 +53,12 @@ OverwriteRecord OverwriteRecord::deserialize(const net::Bytes& payload) {
   return rec;
 }
 
-ModelInstancePool::Slot::Slot(std::size_t idx,
+ModelInstancePool::Slot::Slot(ModelInstancePool* owner, std::size_t idx,
                               std::unique_ptr<core::Server> srv,
                               net::AuthRegistry& auth,
                               const PoolOptions& opts)
-    : index(idx),
+    : pool(owner),
+      index(idx),
       server(std::move(srv)),
       board(opts.metrics),
       queue(opts.checkin_queue_max, opts.metrics) {
@@ -86,15 +82,7 @@ ModelInstancePool::ModelInstancePool(net::AuthRegistry& auth,
           "crowdml_multimodel_overwrites_dropped_total",
           "Discard overwrites shed because the victim instance's queue "
           "was full (the update survives one extra round instead)",
-          obs::Provenance::kTransportEvent)),
-      checkins_applied_(registry_of(opts_).counter(
-          "crowdml_multimodel_checkins_applied_total",
-          "Checkins applied across all pool instances",
-          obs::Provenance::kTransportEvent)),
-      handle_seconds_(registry_of(opts_).histogram(
-          "crowdml_server_handle_seconds",
-          "Whole request dispatch: decode, authenticate, apply, encode",
-          obs::Provenance::kTiming)) {
+          obs::Provenance::kTransportEvent)) {
   if (opts_.instances == 0) opts_.instances = 1;
   if (opts_.checkin_batch_max == 0) opts_.checkin_batch_max = 1;
 
@@ -105,7 +93,7 @@ ModelInstancePool::ModelInstancePool(net::AuthRegistry& auth,
 
   slots_.reserve(opts_.instances);
   for (std::size_t i = 0; i < opts_.instances; ++i) {
-    auto slot = std::make_unique<Slot>(i, factory(i), auth, opts_);
+    auto slot = std::make_unique<Slot>(this, i, factory(i), auth, opts_);
     if (opts_.coordinator_factory)
       slot->coordinator = opts_.coordinator_factory(i);
     if (!opts_.wal_dir.empty()) {
@@ -131,7 +119,22 @@ void ModelInstancePool::start() {
   if (started_.exchange(true)) return;
   for (auto& slot : slots_) {
     Slot* s = slot.get();
-    s->applier = std::thread([this, s] { applier_loop(*s); });
+    s->seen_version = s->server->version();
+    s->applier = std::thread([this, s] {
+      // With k = 1 every discard victim is the updated instance itself,
+      // so no overwrite record ever exists and no draw is needed: the
+      // instance runs the plain engine loop.
+      engine::run_applier({.queue = s->queue,
+                           .server = *s->server,
+                           .protocol = *s->protocol,
+                           .board = s->board,
+                           .batch_max = opts_.checkin_batch_max,
+                           .commit = [this, s] { return commit(*s); },
+                           .coordinator = s->coordinator.get(),
+                           .records = slots_.size() > 1 ? s : nullptr,
+                           .metrics = opts_.metrics,
+                           .trace = opts_.trace});
+    });
   }
 }
 
@@ -196,218 +199,68 @@ std::vector<long long> ModelInstancePool::discard_counts() const {
   return out;
 }
 
-void ModelInstancePool::applier_loop(Slot& slot) {
-  using Clock = std::chrono::steady_clock;
-  const std::size_t k = slots_.size();
-  std::vector<engine::CheckinWork> batch;
-  std::vector<net::Bytes> responses;
-  std::vector<std::uint8_t> classes;
-  // Distinct discard victims drawn this batch (coalesced: one overwrite
-  // per victim carrying the batch-final parameters).
-  std::vector<bool> victim(k, false);
-  for (;;) {
-    batch.clear();
-    responses.clear();
-    classes.clear();
-    const std::size_t n =
-        slot.queue.drain(batch, opts_.checkin_batch_max, 100);
-    slot.board.refresh_age_gauge();
-    if (n == 0) {
-      // Idle flush: overwrite records deferred by the lazy-commit rule
-      // below would otherwise sit uncommitted indefinitely on a quiet
-      // instance. No client ack waits on them, but the replication
-      // stream does — followers only see committed records — so flush
-      // once the queue goes quiet (one drain timeout bounds the lag).
-      // A failed flush just leaves them for the next pass.
-      if (slot.lazy_records > 0 && slot.store && slot.store->commit_group()) {
-        slot.lazy_records = 0;
-        if (opts_.on_commit) opts_.on_commit(slot.index);
-      }
-      if (slot.queue.closed()) break;
-      continue;
-    }
-
-    // Apply in arrival order. Two item kinds flow through one queue:
-    // protocol frames (checkins etc.) handled by this instance's
-    // ProtocolServer, and overwrite records (draw-and-discard victims)
-    // distinguishable by their opaque first word. Routing overwrites
-    // through the victim's own queue is what serializes *every* mutation
-    // of this instance onto this thread — and into this WAL, in apply
-    // order, which per-instance recovery replays bit-for-bit.
-    // Steering inputs for this instance's own clock: backlog left after
-    // the drain, then the batch's apply/commit wall time below. Each
-    // applier feeds only its own Coordinator — k clocks, k appliers.
-    if (slot.coordinator)
-      slot.coordinator->observe_queue_depth(slot.queue.depth());
-    const Clock::time_point apply_start = Clock::now();
-
-    responses.reserve(n);
-    classes.reserve(n);
-    std::size_t applied_checkins = 0;
-    std::size_t client_frames = 0;
-    for (const engine::CheckinWork& work : batch) {
-      if (store::is_opaque_record(work.frame)) {
-        try {
-          const auto rec = OverwriteRecord::deserialize(work.frame);
-          const std::uint64_t v =
-              slot.server->overwrite_parameters(rec.w);
-          if (slot.store) {
-            slot.store->log_record(v, work.frame);
-            ++slot.lazy_records;
-          }
-          ++overwrites_applied_;
-          if (opts_.trace)
-            opts_.trace->event("overwrite_applied",
-                               {{"instance", slot.index},
-                                {"source", rec.source_instance},
-                                {"version", v}});
-        } catch (const std::exception&) {
-          // A malformed or mis-sized overwrite never reaches here from
-          // our own appliers; drop rather than poison the instance.
-          ++overwrites_dropped_;
-        }
-        responses.emplace_back();
-        classes.push_back(net::kDefaultDeviceClass);
-        continue;
-      }
-      ++client_frames;
-      obs::TimedScope timer(handle_seconds_);
-      std::uint8_t cls = net::kDefaultDeviceClass;
-      responses.push_back(slot.protocol->handle(work.frame, &cls));
-      classes.push_back(cls);
-      // An applied checkin (ok-ack) triggers one discard draw —
-      // per-update uniform over the k instances, from this instance's
-      // deterministic stream.
-      if (is_ok_checkin(batch[responses.size() - 1].frame,
-                        responses.back())) {
-        ++applied_checkins;
-        ++checkins_applied_;
-        const std::size_t v = static_cast<std::size_t>(
-            rng::splitmix64(slot.discard_state) % k);
-        slots_[v]->discards.fetch_add(1, std::memory_order_relaxed);
-        victim[v] = true;
-      }
-    }
-
-    // Group commit: one WAL fsync covers the batch's checkin records plus
-    // any overwrite records still buffered from earlier batches. An
-    // overwrite-only batch defers its commit instead (up to
-    // kLazyOverwriteFlush records): overwrites carry no client ack, so
-    // they owe no fsync of their own — deferring keeps the pool's fsync
-    // rate at one per *acked* batch, which is what lets k per-instance
-    // commit clocks overlap their fsync stalls instead of doubling them.
-    // A crash can lose an uncommitted overwrite tail; recovery still
-    // replays a clean WAL prefix, and no ack ever covered those records.
-    // On commit failure every ok-ack becomes a durability nack before
-    // release — acked => durable never lies (the store requeues unwritten
-    // records, so the log stays contiguous).
-    const bool must_commit =
-        client_frames > 0 || slot.lazy_records >= kLazyOverwriteFlush;
-    const Clock::time_point commit_start = Clock::now();
-    bool committed = true;
-    if (must_commit) {
-      if (slot.store) committed = slot.store->commit_group();
-      if (committed) slot.lazy_records = 0;
-      if (committed && opts_.on_commit)
-        committed = opts_.on_commit(slot.index);
-    }
-    if (slot.coordinator)
-      slot.coordinator->observe_commit(
-          client_frames,
-          std::chrono::duration<double>(commit_start - apply_start).count(),
-          std::chrono::duration<double>(Clock::now() - commit_start).count());
-    if (!committed) {
-      const net::AckMessage nack{false, "durability failure"};
-      const net::Bytes nack_frame =
-          net::encode_frame(net::MessageType::kAck, nack.serialize());
-      for (std::size_t i = 0; i < n; ++i)
-        if (is_ok_checkin(batch[i].frame, responses[i]))
-          responses[i] = nack_frame;
-    }
-
-    // Pace steering: every checkin ack this instance produced (ok,
-    // rejection, or the durability nack above) carries a consuming hint
-    // from this instance's own clock. Runs after the nack rewrite so the
-    // hint survives it; overwrite records carry no response and are
-    // skipped by the frame-type check.
-    if (slot.coordinator) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (batch[i].frame.size() <= net::kFrameTypeOffset ||
-            batch[i].frame[net::kFrameTypeOffset] !=
-                static_cast<std::uint8_t>(net::MessageType::kCheckin))
-          continue;
-        responses[i] = net::frame_with_checkin_hint(
-            responses[i], slot.coordinator->checkin_hint_ms(classes[i]));
-      }
-    }
-
-    // Discard step: ship this instance's batch-final parameters to each
-    // distinct victim drawn above (self-draws are the no-op of replacing
-    // an instance with itself — with k = 1 that is every draw, so the
-    // single-instance pool never enqueues or logs an overwrite). A full
-    // victim queue sheds the overwrite: the victim's parameters simply
-    // survive one extra round, which biases nothing.
-    if (applied_checkins > 0 && k > 1) {
-      OverwriteRecord rec;
-      rec.source_instance = slot.index;
-      rec.w = slot.server->parameters();
-      const net::Bytes payload = rec.serialize();
-      for (std::size_t v = 0; v < k; ++v) {
-        if (!victim[v]) continue;
-        victim[v] = false;
-        if (v == slot.index) continue;
-        engine::CheckinWork ow;
-        ow.frame = payload;
-        if (!slots_[v]->queue.try_push(std::move(ow)))
-          ++overwrites_dropped_;
-      }
-    } else {
-      for (std::size_t v = 0; v < k; ++v) victim[v] = false;
-    }
-
-    // Publish before releasing acks: a device that sees its ack and
-    // immediately checks out can draw this instance and find its update.
-    slot.board.publish(*slot.server);
-
-    // Release responses grouped per event loop (overwrite items carry no
-    // destination and fall through). Single-item batches — the norm at
-    // commit-per-update cadence — skip the grouping map.
-    if (n == 1) {
-      if (batch[0].complete) {
-        batch[0].complete(std::move(responses[0]));
-      } else if (batch[0].loop) {
-        std::vector<std::pair<std::uint64_t, net::Bytes>> one;
-        one.emplace_back(batch[0].conn_id, std::move(responses[0]));
-        batch[0].loop->send_many(std::move(one));
-      }
-    } else {
-      std::unordered_map<engine::EventLoop*,
-                         std::vector<std::pair<std::uint64_t, net::Bytes>>>
-          by_loop;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (batch[i].complete)
-          batch[i].complete(std::move(responses[i]));
-        else if (batch[i].loop)
-          by_loop[batch[i].loop].emplace_back(batch[i].conn_id,
-                                              std::move(responses[i]));
-      }
-      for (auto& [loop, items] : by_loop) loop->send_many(std::move(items));
-    }
-  }
+bool ModelInstancePool::commit(Slot& slot) {
+  if (slot.store && !slot.store->commit_group()) return false;
+  slot.lazy_records = 0;
+  return !opts_.on_commit || opts_.on_commit(slot.index);
 }
 
-bool ModelInstancePool::is_ok_checkin(const net::Bytes& frame,
-                                      const net::Bytes& response) {
-  if (frame.size() <= net::kFrameTypeOffset ||
-      frame[net::kFrameTypeOffset] !=
-          static_cast<std::uint8_t>(net::MessageType::kCheckin))
-    return false;
+bool ModelInstancePool::Slot::apply(const net::Bytes& frame) {
+  if (!store::is_opaque_record(frame)) return false;
   try {
-    const net::Frame f = net::decode_frame(response);
-    return f.type == net::MessageType::kAck &&
-           net::AckMessage::deserialize(f.payload).ok;
-  } catch (const net::CodecError&) {
-    return false;
+    const auto rec = OverwriteRecord::deserialize(frame);
+    const std::uint64_t v = server->overwrite_parameters(rec.w);
+    if (store) {
+      store->log_record(v, frame);
+      ++lazy_records;
+    }
+    ++batch_overwrites;
+    ++pool->overwrites_applied_;
+    if (pool->opts_.trace)
+      pool->opts_.trace->event("overwrite_applied",
+                               {{"instance", index},
+                                {"source", rec.source_instance},
+                                {"version", v}});
+  } catch (const std::exception&) {
+    // A malformed or mis-sized overwrite never reaches here from our own
+    // appliers; drop rather than poison the instance.
+    ++pool->overwrites_dropped_;
+  }
+  return true;
+}
+
+void ModelInstancePool::Slot::end_batch() {
+  // Updates this batch applied for clients: every version step that was
+  // not an overwrite (an ok-ack is exactly one step), so no ack needs
+  // decoding to count them.
+  const std::uint64_t v = server->version();
+  const std::uint64_t updates = v - seen_version - batch_overwrites;
+  seen_version = v;
+  batch_overwrites = 0;
+
+  // One discard draw per update, from this instance's deterministic
+  // stream; same-victim draws coalesce into one overwrite carrying the
+  // batch-final parameters. A self-draw is the no-op of replacing an
+  // instance with itself. A full victim queue sheds the overwrite: the
+  // victim's parameters survive one extra round, which biases nothing.
+  auto& slots = pool->slots_;
+  std::vector<bool> victim(slots.size(), false);
+  for (std::uint64_t u = 0; u < updates; ++u) {
+    const std::size_t i =
+        static_cast<std::size_t>(rng::splitmix64(discard_state) % slots.size());
+    slots[i]->discards.fetch_add(1, std::memory_order_relaxed);
+    if (i != index) victim[i] = true;
+  }
+  if (std::find(victim.begin(), victim.end(), true) == victim.end()) return;
+  OverwriteRecord rec;
+  rec.source_instance = index;
+  rec.w = server->parameters();
+  const net::Bytes payload = rec.serialize();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (!victim[i]) continue;
+    engine::CheckinWork ow;
+    ow.frame = payload;
+    if (!slots[i]->queue.try_push(std::move(ow))) ++pool->overwrites_dropped_;
   }
 }
 

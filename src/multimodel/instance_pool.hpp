@@ -39,11 +39,16 @@
 // one update remain 1 and the stationary variance bound k·sigma^2/(2k-1)
 // is unaffected; see docs/PRIVACY.md "Draw-and-discard amplification".
 //
+// Each instance runs the engine's applier loop (engine/applier.hpp) over
+// its own queue, server, store and board; the overwrite records and the
+// discard draws reach that loop as the instance's engine::InternalRecords.
+//
 // k = 1 degenerates exactly to the single-applier engine path: draws and
-// routes always pick instance 0, the discard victim is always the
-// updated instance itself (no overwrite is ever enqueued or logged), and
-// the WAL namespace is the base directory — byte-identical state, WAL,
-// and params frames (tests/multimodel_test.cpp proves it).
+// routes always pick instance 0, the only possible discard victim is the
+// updated instance itself (so no draw is made and no overwrite is ever
+// enqueued or logged), and the WAL namespace is the base directory —
+// byte-identical state, WAL, and params frames (tests/multimodel_test.cpp
+// proves it).
 #pragma once
 
 #include <atomic>
@@ -57,6 +62,7 @@
 #include "coord/coordinator.hpp"
 #include "core/protocol.hpp"
 #include "core/server.hpp"
+#include "engine/applier.hpp"
 #include "engine/checkin_queue.hpp"
 #include "engine/epoll_server.hpp"
 #include "engine/snapshot_board.hpp"
@@ -187,7 +193,9 @@ class ModelInstancePool {
   // Seeded-draw accounting (the distribution sanity tests).
   std::vector<long long> draw_counts() const;     ///< checkout draws
   std::vector<long long> route_counts() const;    ///< checkin routes
-  std::vector<long long> discard_counts() const;  ///< discard victims
+  /// Discard victims drawn, one per applied update. With k = 1 the only
+  /// possible victim is the updated instance itself, so none is drawn.
+  std::vector<long long> discard_counts() const;
   long long overwrites_applied() const {
     return overwrites_applied_.value();
   }
@@ -196,7 +204,11 @@ class ModelInstancePool {
   long long overwrites_dropped() const { return overwrites_dropped_.value(); }
 
  private:
-  struct Slot {
+  /// One instance. With k > 1 it is also its applier's InternalRecords:
+  /// overwrite records arriving through its queue, and the discard draws
+  /// owed for each batch it applies.
+  struct Slot : engine::InternalRecords {
+    ModelInstancePool* pool;
     std::size_t index = 0;
     std::unique_ptr<core::Server> server;
     std::unique_ptr<core::ProtocolServer> protocol;
@@ -212,21 +224,29 @@ class ModelInstancePool {
     /// thread only). Overwrites carry no client ack, so they owe no
     /// fsync of their own — they ride the next acked batch's commit.
     std::size_t lazy_records = 0;
+    /// Server version at the end of the last batch, and overwrites
+    /// applied since (applier thread only): the current version minus
+    /// both is the number of client updates the batch applied.
+    std::uint64_t seen_version = 0;
+    std::uint64_t batch_overwrites = 0;
     std::atomic<long long> draws{0};
     std::atomic<long long> routes{0};
     std::atomic<long long> discards{0};
 
-    Slot(std::size_t idx, std::unique_ptr<core::Server> srv,
-         net::AuthRegistry& auth, const PoolOptions& opts);
+    Slot(ModelInstancePool* owner, std::size_t idx,
+         std::unique_ptr<core::Server> srv, net::AuthRegistry& auth,
+         const PoolOptions& opts);
+
+    bool apply(const net::Bytes& frame) override;
+    std::size_t uncommitted() const override { return lazy_records; }
+    void end_batch() override;
   };
 
-  void applier_loop(Slot& slot);
+  /// The applier's commit step: instance `slot`'s group commit, then the
+  /// on_commit hook.
+  bool commit(Slot& slot);
   /// Uniform instance index from the shared atomic stream.
   std::size_t draw_index(std::atomic<std::uint64_t>& state);
-  /// True when `frame` is a checkin whose `response` is an ok ack — the
-  /// signal that one update was applied (and one discard draw is owed).
-  static bool is_ok_checkin(const net::Bytes& frame,
-                            const net::Bytes& response);
 
   PoolOptions opts_;
   std::vector<std::unique_ptr<Slot>> slots_;
@@ -237,8 +257,6 @@ class ModelInstancePool {
 
   obs::Counter& overwrites_applied_;
   obs::Counter& overwrites_dropped_;
-  obs::Counter& checkins_applied_;
-  obs::Histogram& handle_seconds_;
 };
 
 /// Wire the pool into an engine config: checkout draws, checkin routing,

@@ -24,8 +24,8 @@
 // round_id), so the engine's applier WALs it as an ordinary checkin
 // record and recovery semantics are unchanged.
 //
-// Thread-safe: handlers may be called from the epoll applier or from
-// thread-per-connection workers; one mutex covers all round state.
+// Thread-safe: handlers may be called from any applier or test thread;
+// one mutex covers all round state.
 #pragma once
 
 #include <cstdint>

@@ -15,6 +15,7 @@
 #include "core/monitor.hpp"
 #include "core/tcp_runtime.hpp"
 #include "data/mixture.hpp"
+#include "engine/epoll_server.hpp"
 #include "models/logistic_regression.hpp"
 #include "net/fault_proxy.hpp"
 #include "obs/trace.hpp"
@@ -57,9 +58,11 @@ TEST(ChaosTcp, CrowdLearnsThroughFaultyNetwork) {
                       rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
 
-  core::TcpServerConfig tcfg;
-  tcfg.idle_timeout_ms = 2000;  // reap connections the proxy half-killed
-  core::TcpCrowdServer tcp_server(server, registry, tcfg);
+  obs::MetricsRegistry server_metrics;
+  engine::EngineConfig ecfg;
+  ecfg.idle_timeout_ms = 2000;  // reap connections the proxy half-killed
+  ecfg.metrics = &server_metrics;
+  engine::EpollCrowdServer tcp_server(server, registry, ecfg);
 
   // An aggressive but seeded storm between the devices and the server.
   net::FaultPolicy chaos;

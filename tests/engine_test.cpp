@@ -1,8 +1,8 @@
 // Serving-engine tests: snapshot board publication, checkin queue
 // ordering and shedding, end-to-end crowd learning through the epoll
-// engine, retry_after admission-control hints, group-commit durability,
-// and bit-identical parity with the thread-per-connection runtime on a
-// deterministic (sequential) workload.
+// engine, connection cap and retry_after admission-control hints,
+// group-commit durability, and byte-identical parity with an in-process
+// core::ProtocolServer on a deterministic (sequential) workload.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -370,6 +370,55 @@ TEST(Engine, CapacityNackCarriesRetryHintAndSessionHonorsIt) {
   eng.shutdown();
 }
 
+// The cap is enforced at the acceptor: a burst of connects accepted
+// before any event loop has registered them must not get in past it.
+TEST(Engine, ConnectionCapHoldsUnderConnectBurst) {
+  models::MulticlassLogisticRegression model(2, 4, 0.0);
+  core::Server server(server_config(model.param_dim(), 2), sgd(0.1),
+                      rng::Engine(1));
+  net::AuthRegistry registry(rng::Engine(2));
+  obs::MetricsRegistry reg;
+  engine::EngineConfig ecfg;
+  ecfg.metrics = &reg;
+  ecfg.max_connections = 2;
+  engine::EpollCrowdServer eng(server, registry, ecfg);
+
+  const auto creds = registry.enroll();
+  net::CheckoutRequest req;
+  req.device_id = creds.device_id;
+  req.auth_tag = creds.sign(req.body());
+  const net::Bytes checkout =
+      net::encode_frame(net::MessageType::kCheckoutRequest, req.serialize());
+
+  // Eight connects back to back, no traffic until all are open.
+  std::vector<std::unique_ptr<core::TcpDeviceSession>> sockets;
+  for (int i = 0; i < 8; ++i)
+    sockets.push_back(std::make_unique<core::TcpDeviceSession>(
+        "127.0.0.1", eng.port(), 5000, 2000));
+
+  int params = 0, capacity_nacks = 0;
+  for (auto& socket : sockets) {
+    const auto reply = socket->exchange(checkout);
+    ASSERT_TRUE(reply.has_value());
+    const net::Frame f = net::decode_frame(*reply);
+    if (f.type == net::MessageType::kParams) {
+      EXPECT_TRUE(net::ParamsMessage::deserialize(f.payload).accepted);
+      ++params;
+      continue;
+    }
+    ASSERT_EQ(f.type, net::MessageType::kAck);
+    const auto nack = net::AckMessage::deserialize(f.payload);
+    EXPECT_FALSE(nack.ok);
+    EXPECT_EQ(nack.reason.rfind("server at capacity", 0), 0u) << nack.reason;
+    EXPECT_TRUE(net::parse_retry_after(nack.reason).has_value());
+    ++capacity_nacks;
+  }
+  EXPECT_LE(params, 2);
+  EXPECT_EQ(params + capacity_nacks, 8);
+  EXPECT_EQ(eng.net_snapshot().refused_connections, capacity_nacks);
+  eng.shutdown();
+}
+
 // ------------------------------------------------------- group commit
 
 TEST(Engine, AckedCheckinsAreDurableAfterRecovery) {
@@ -484,57 +533,64 @@ TEST(Engine, GroupCommitFailureNacksWholeBatch) {
 
 // ----------------------------------------------------------- parity
 
-namespace {
-
-/// One deterministic sequential run: a single device, fixed seeds, same
-/// arrival order — through either serving engine. Returns final (w, t).
-std::pair<linalg::Vector, std::uint64_t> sequential_run(
-    bool use_epoll, const data::Dataset& ds) {
+// The engine answers exactly as core::ProtocolServer would: for one
+// connection sending frames in order — honest cycles plus a malformed
+// frame, an unauthenticated checkout and a forged checkin — every
+// response byte, the final version and the final parameters equal an
+// identically seeded server handling the same frames in-process. Board
+// checkouts, queued checkins and the applier's batching are all
+// invisible on the wire.
+TEST(EngineParity, BitIdenticalWithThreadsEngine) {
+  const data::Dataset ds = small_dataset(250, 50);
   models::MulticlassLogisticRegression model(3, 8, 0.0);
-  core::Server server(server_config(model.param_dim(), 3), sgd(),
-                      rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
-
-  std::unique_ptr<core::TcpCrowdServer> threads_srv;
-  std::unique_ptr<engine::EpollCrowdServer> epoll_srv;
-  std::uint16_t port = 0;
-  if (use_epoll) {
-    epoll_srv = std::make_unique<engine::EpollCrowdServer>(
-        server, registry, engine::EngineConfig{});
-    port = epoll_srv->port();
-  } else {
-    threads_srv =
-        std::make_unique<core::TcpCrowdServer>(server, registry, 0);
-    port = threads_srv->port();
-  }
-
   core::DeviceConfig dc;
   dc.minibatch_size = 5;
   dc.budget = privacy::PrivacyBudget::gradient_dominated(20.0);
   core::Device dev(dc, model, rng::Engine(100));
   dev.set_credentials(registry.enroll());
-  core::TcpDeviceSession session("127.0.0.1", port);
-  core::DeviceClient client(dev, session.as_exchange());
-  for (int pass = 0; pass < 2; ++pass)
-    for (const auto& s : ds.train) client.offer_sample(s);
 
-  if (threads_srv) threads_srv->shutdown();
-  if (epoll_srv) epoll_srv->shutdown();
-  return {server.parameters(), server.version()};
-}
+  net::CheckoutRequest stranger;
+  stranger.device_id = 42;  // not enrolled, zero tag
+  net::CheckinMessage forged;
+  forged.device_id = dev.id();
+  forged.g_hat.assign(model.param_dim(), 0.5);
+  forged.ns = 5;
+  forged.ny_hat.assign(3, 1);  // zero tag: fails authentication
+  const std::vector<net::Bytes> hostile = {
+      net::encode_frame(net::MessageType::kCheckin, {1, 2, 3}),
+      net::encode_frame(net::MessageType::kCheckoutRequest,
+                        stranger.serialize()),
+      net::encode_frame(net::MessageType::kCheckin, forged.serialize())};
 
-}  // namespace
+  std::vector<net::Bytes> requests, responses;
+  core::Server served(server_config(model.param_dim(), 3), sgd(),
+                      rng::Engine(1));
+  {
+    engine::EpollCrowdServer eng(served, registry, engine::EngineConfig{});
+    core::TcpDeviceSession session("127.0.0.1", eng.port());
+    const auto exchange = [&](const net::Bytes& request) {
+      auto reply = session.exchange(request);
+      requests.push_back(request);
+      responses.push_back(reply.value_or(net::Bytes{}));
+      return reply;
+    };
+    core::DeviceClient client(dev, exchange);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto& s : ds.train) client.offer_sample(s);
+      for (const net::Bytes& frame : hostile) exchange(frame);
+    }
+    eng.shutdown();
+  }
+  ASSERT_GT(served.version(), 0u);
 
-// The tentpole compatibility guarantee: for the same arrival order the
-// epoll engine produces bit-identical results to the legacy runtime —
-// same update sequence, same snapshots served, same final parameters.
-TEST(EngineParity, BitIdenticalWithThreadsEngine) {
-  const data::Dataset ds = small_dataset(250, 50);
-  const auto threads_result = sequential_run(false, ds);
-  const auto epoll_result = sequential_run(true, ds);
-  ASSERT_GT(threads_result.second, 0u);
-  EXPECT_EQ(threads_result.second, epoll_result.second);
-  EXPECT_EQ(threads_result.first, epoll_result.first);
+  core::Server witness(server_config(model.param_dim(), 3), sgd(),
+                       rng::Engine(1));
+  core::ProtocolServer protocol(witness, registry, nullptr);
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    ASSERT_EQ(protocol.handle(requests[i]), responses[i]) << "frame " << i;
+  EXPECT_EQ(witness.version(), served.version());
+  EXPECT_EQ(witness.parameters(), served.parameters());
 }
 
 // ----------------------------------------------------- retry_after codec

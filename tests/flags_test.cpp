@@ -94,8 +94,8 @@ TEST(ReplicaFlags, LeaderDefaultsToNoReplication) {
 
 TEST(ReplicaFlags, LeaderQuorumSetup) {
   const ReplicaFlags r =
-      replica({"--engine=epoll", "--wal-dir=wal", "--repl-ack=quorum",
-               "--repl-followers=3", "--repl-port=7000"});
+      replica({"--wal-dir=wal", "--repl-ack=quorum", "--repl-followers=3",
+               "--repl-port=7000"});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_TRUE(r.repl_enabled);
   EXPECT_EQ(r.ack_mode, "quorum");
@@ -106,7 +106,7 @@ TEST(ReplicaFlags, LeaderQuorumSetup) {
 TEST(ReplicaFlags, FollowerParsesLeaderAddr) {
   const ReplicaFlags r =
       replica({"--role=follower", "--leader-addr=10.1.2.3:9100",
-               "--engine=epoll", "--wal-dir=replica"});
+               "--wal-dir=replica"});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_EQ(r.leader_host, "10.1.2.3");
   EXPECT_EQ(r.leader_port, 9100);
@@ -115,7 +115,7 @@ TEST(ReplicaFlags, FollowerParsesLeaderAddr) {
 
 TEST(ReplicaFlags, FollowerWithoutLeaderAddrRejected) {
   const ReplicaFlags r =
-      replica({"--role=follower", "--engine=epoll", "--wal-dir=replica"});
+      replica({"--role=follower", "--wal-dir=replica"});
   EXPECT_FALSE(r.error.empty());
   EXPECT_NE(r.error.find("--leader-addr"), std::string::npos) << r.error;
 }
@@ -125,27 +125,20 @@ TEST(ReplicaFlags, FollowerLeaderAddrMalformedRejected) {
                            "host:65536", "host:abc", "host:-1"}) {
     const ReplicaFlags r =
         replica({"--role=follower", std::string("--leader-addr=") + addr,
-                 "--engine=epoll", "--wal-dir=replica"});
+                 "--wal-dir=replica"});
     EXPECT_FALSE(r.error.empty()) << addr;
   }
   // IPv6-ish / multi-colon hosts split on the LAST colon.
   const ReplicaFlags r =
       replica({"--role=follower", "--leader-addr=fe80::1:9100",
-               "--engine=epoll", "--wal-dir=replica"});
+               "--wal-dir=replica"});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_EQ(r.leader_host, "fe80::1");
   EXPECT_EQ(r.leader_port, 9100);
 }
 
 TEST(ReplicaFlags, FollowerRequiresWalDirAndEpollEngine) {
-  EXPECT_FALSE(replica({"--role=follower", "--leader-addr=h:1",
-                        "--engine=epoll"})
-                   .error.empty());
-  EXPECT_FALSE(replica({"--role=follower", "--leader-addr=h:1",
-                        "--wal-dir=replica"})
-                   .error.empty());
-  EXPECT_FALSE(replica({"--role=follower", "--leader-addr=h:1",
-                        "--engine=threads", "--wal-dir=replica"})
+  EXPECT_FALSE(replica({"--role=follower", "--leader-addr=h:1"})
                    .error.empty());
 }
 
@@ -153,8 +146,8 @@ TEST(ReplicaFlags, FollowerRejectsLeaderOnlyFlags) {
   for (const char* flag : {"--repl-ack=async", "--repl-port=7000",
                            "--repl-followers=2", "--promote-on-start"}) {
     const ReplicaFlags r =
-        replica({"--role=follower", "--leader-addr=h:1", "--engine=epoll",
-                 "--wal-dir=replica", flag});
+        replica({"--role=follower", "--leader-addr=h:1", "--wal-dir=replica",
+                 flag});
     EXPECT_FALSE(r.error.empty()) << flag;
   }
 }
@@ -165,17 +158,12 @@ TEST(ReplicaFlags, LeaderRejectsLeaderAddr) {
 }
 
 TEST(ReplicaFlags, ReplicationRequiresWalDirAndEpoll) {
-  EXPECT_FALSE(replica({"--repl-ack=async", "--engine=epoll"}).error.empty());
-  EXPECT_FALSE(
-      replica({"--repl-ack=async", "--wal-dir=wal"}).error.empty());
-  EXPECT_FALSE(replica({"--repl-ack=async", "--wal-dir=wal",
-                        "--engine=threads"})
-                   .error.empty());
+  EXPECT_FALSE(replica({"--repl-ack=async"}).error.empty());
 }
 
 TEST(ReplicaFlags, PromoteOnStartEnablesReplication) {
   const ReplicaFlags r =
-      replica({"--promote-on-start", "--wal-dir=wal", "--engine=epoll"});
+      replica({"--promote-on-start", "--wal-dir=wal"});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_TRUE(r.repl_enabled);
   EXPECT_TRUE(r.promote_on_start);
@@ -187,7 +175,7 @@ TEST(ReplicaFlags, AdvertiseHostDefaultsAndValidation) {
   EXPECT_EQ(replica({}).advertise_host, "127.0.0.1");
   const ReplicaFlags r =
       replica({"--advertise-host=10.0.0.7", "--repl-ack=async",
-               "--wal-dir=wal", "--engine=epoll"});
+               "--wal-dir=wal"});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_EQ(r.advertise_host, "10.0.0.7");
 
@@ -198,19 +186,17 @@ TEST(ReplicaFlags, AdvertiseHostDefaultsAndValidation) {
 
   // Valid for both roles.
   const ReplicaFlags f =
-      replica({"--role=follower", "--leader-addr=h:1", "--engine=epoll",
-               "--wal-dir=replica", "--advertise-host=replica-b"});
+      replica({"--role=follower", "--leader-addr=h:1", "--wal-dir=replica",
+               "--advertise-host=replica-b"});
   EXPECT_TRUE(f.error.empty()) << f.error;
   EXPECT_EQ(f.advertise_host, "replica-b");
 }
 
 TEST(ReplicaFlags, UnknownRoleAndAckModeRejected) {
   EXPECT_FALSE(replica({"--role=observer"}).error.empty());
-  EXPECT_FALSE(replica({"--repl-ack=sync", "--wal-dir=wal",
-                        "--engine=epoll"})
-                   .error.empty());
+  EXPECT_FALSE(replica({"--repl-ack=sync", "--wal-dir=wal"}).error.empty());
   EXPECT_FALSE(replica({"--repl-ack=quorum", "--repl-followers=0",
-                        "--wal-dir=wal", "--engine=epoll"})
+                        "--wal-dir=wal"})
                    .error.empty());
 }
 
@@ -233,7 +219,7 @@ TEST(CoordFlags, DisabledByDefault) {
 }
 
 TEST(CoordFlags, FullParse) {
-  const auto c = coordf({"--coord-steering", "--engine=epoll",
+  const auto c = coordf({"--coord-steering",
                          "--coord-classes=fast:4,slow:2,flaky:1",
                          "--coord-target-utilization=0.8",
                          "--coord-min-hint-ms=10", "--coord-max-hint-ms=60000",
@@ -254,34 +240,27 @@ TEST(CoordFlags, CoordFlagsWithoutSteeringRejected) {
 }
 
 TEST(CoordFlags, SteeringRequiresEpollLeader) {
-  // Default engine is the thread-per-connection runtime: rejected.
-  EXPECT_FALSE(coordf({"--coord-steering"}).error.empty());
   EXPECT_FALSE(
-      coordf({"--coord-steering", "--engine=threads"}).error.empty());
-  EXPECT_FALSE(coordf({"--coord-steering", "--engine=epoll",
-                       "--role=follower"})
-                   .error.empty());
-  EXPECT_TRUE(
-      coordf({"--coord-steering", "--engine=epoll"}).error.empty());
+      coordf({"--coord-steering", "--role=follower"}).error.empty());
+  EXPECT_TRUE(coordf({"--coord-steering"}).error.empty());
   // Pooled serving steers too: one coordinator per instance applier.
-  EXPECT_TRUE(coordf({"--coord-steering", "--engine=epoll",
-                      "--model-instances=4"})
-                  .error.empty());
+  EXPECT_TRUE(
+      coordf({"--coord-steering", "--model-instances=4"}).error.empty());
 }
 
 TEST(CoordFlags, MalformedClassSpecsRejected) {
   for (const char* spec :
        {"fast", "fast:0", "fast:-1", "fast:abc", "default:2", "a:1,a:2",
         "a:1,", "fa st:1"}) {
-    const auto c = coordf({"--coord-steering", "--engine=epoll",
-                           std::string("--coord-classes=") + spec});
+    const auto c = coordf(
+        {"--coord-steering", std::string("--coord-classes=") + spec});
     EXPECT_FALSE(c.error.empty()) << "accepted: " << spec;
     EXPECT_EQ(c.error.rfind("--coord-classes:", 0), 0u) << c.error;
   }
 }
 
 TEST(CoordFlags, NumericBoundsEnforced) {
-  const std::vector<std::string> base = {"--coord-steering", "--engine=epoll"};
+  const std::vector<std::string> base = {"--coord-steering"};
   auto with = [&](const std::string& extra) {
     auto args = base;
     args.push_back(extra);

@@ -4,9 +4,8 @@
 #   (a) the restarted server recovers past iteration 0 from snapshot + WAL,
 #   (b) devices ride out the outage via ReconnectingDeviceSession,
 #   (c) training resumes and advances past the pre-crash iteration.
-# The whole scenario runs once per serving engine: the legacy
-# thread-per-connection runtime, and the epoll engine whose group commit
-# must uphold the same acked => durable contract under --fsync always.
+# Under --fsync always the engine's group commit must uphold
+# acked => durable across the crash.
 # Run by ctest with the build directory as argument.
 set -eu
 BUILD_DIR="$1"
@@ -18,106 +17,92 @@ cd "$WORK"
 "$BUILD_DIR/tools/crowdml-make-dataset" --kind mnist --scale 0.05 --shards 2 \
     --shard-prefix dev_ --seed 42
 
-run_scenario() {
-  ENGINE="$1"
-  FSYNC="$2"
-  EXTRA="$3"
-  DIR="run_$ENGINE"
-  mkdir "$DIR"
-  cd "$DIR"
-
-  start_server() {
-    # --auth-seed is fixed, so re-enrollment after the crash regenerates
-    # the exact same device keys the devices are already holding.
-    # shellcheck disable=SC2086
-    "$BUILD_DIR/tools/crowdml-server" --port "$1" --classes 10 --dim 50 \
-        --enroll 2 --keys-out "$2" --auth-seed 7 \
-        --engine "$ENGINE" $EXTRA \
-        --wal-dir wal --fsync "$FSYNC" --report-every 0.3 \
-        --max-iterations 100000 >> "$3" 2>&1 &
-    SERVER_PID=$!
-  }
-
-  start_server 0 keys.csv server1.log
-
-  PORT=""
-  for i in $(seq 1 50); do
-    PORT=$(sed -n 's/.*listening on 127.0.0.1:\([0-9]*\).*/\1/p' server1.log)
-    [ -n "$PORT" ] && break
-    sleep 0.1
-  done
-  [ -n "$PORT" ] || { echo "[$ENGINE] server did not start"; cat server1.log; exit 1; }
-  grep -q "^config: engine=$ENGINE " server1.log || {
-    echo "[$ENGINE] missing effective-config line"; cat server1.log; exit 1; }
-
-  # Devices with a generous retry budget: they must survive the restart
-  # window (capped exponential backoff, checkins abandoned, never replayed).
-  KEY1=$(sed -n 1p keys.csv)
-  KEY2=$(sed -n 2p keys.csv)
-  run_device() {
-    "$BUILD_DIR/tools/crowdml-device" --host 127.0.0.1 --port "$PORT" \
-        --data "../$1" --key "$2" --minibatch 10 --epsilon 50 --passes 20 \
-        --classes 10 --max-attempts 60 --backoff-max-ms 500 \
-        --connect-timeout-ms 1000 > "$3" 2>&1 &
-  }
-  run_device dev_0.csv "$KEY1" dev1.log
-  DEV1=$!
-  run_device dev_1.csv "$KEY2" dev2.log
-  DEV2=$!
-
-  # Let training get going, then pull the plug without ceremony.
-  PRE=0
-  for i in $(seq 1 100); do
-    PRE=$(sed -n 's/^iteration t: *\([0-9]*\).*/\1/p' server1.log | tail -1)
-    [ -n "$PRE" ] && [ "$PRE" -ge 20 ] && break
-    PRE=0
-    sleep 0.1
-  done
-  [ "$PRE" -ge 20 ] || { echo "[$ENGINE] training never took off"; cat server1.log; exit 1; }
-  kill -9 $SERVER_PID
-  wait $SERVER_PID 2>/dev/null || true
-
-  start_server "$PORT" keys2.csv server2.log
-
-  RECOVERED=""
-  for i in $(seq 1 50); do
-    RECOVERED=$(sed -n 's/^recovered state: iteration \([0-9]*\).*/\1/p' server2.log)
-    [ -n "$RECOVERED" ] && break
-    sleep 0.1
-  done
-  [ -n "$RECOVERED" ] || { echo "[$ENGINE] no recovery line"; cat server2.log; exit 1; }
-  cmp -s keys.csv keys2.csv || { echo "[$ENGINE] re-enrolled keys differ"; exit 1; }
-
-  # The WAL must have carried training at least to the last report we saw
-  # — with --fsync always this is exactly "no acked checkin lost".
-  [ "$RECOVERED" -ge "$PRE" ] || {
-    echo "[$ENGINE] recovered iteration $RECOVERED behind last report $PRE"
-    cat server2.log; exit 1; }
-
-  wait $DEV1 || { echo "[$ENGINE] device 1 failed"; cat dev1.log; exit 1; }
-  wait $DEV2 || { echo "[$ENGINE] device 2 failed"; cat dev2.log; exit 1; }
-  cat dev1.log dev2.log
-
-  # At least one device had to reconnect across the crash window.
-  RECONNECTS=$(sed -n 's/^transport: \([0-9]*\) reconnects.*/\1/p' dev1.log dev2.log |
-      awk '{s+=$1} END {print s+0}')
-  [ "$RECONNECTS" -ge 1 ] || { echo "[$ENGINE] no device ever reconnected"; exit 1; }
-
-  # Training resumed: the restarted server moved past the recovered state.
-  kill -TERM $SERVER_PID
-  wait $SERVER_PID 2>/dev/null || true
-  FINAL=$(sed -n 's/^iteration t: *\([0-9]*\).*/\1/p' server2.log | tail -1)
-  [ -n "$FINAL" ] && [ "$FINAL" -gt "$RECOVERED" ] || {
-    echo "[$ENGINE] training did not resume (recovered $RECOVERED, final ${FINAL:-none})"
-    cat server2.log; exit 1; }
-  grep -q "durable state compacted" server2.log || {
-    echo "[$ENGINE] no final compaction"; cat server2.log; exit 1; }
-  ls wal/snapshot-*.bin >/dev/null 2>&1 || { echo "[$ENGINE] no snapshot on disk"; exit 1; }
-
-  echo "kill-restart [$ENGINE] OK (crashed at >=$PRE, recovered at $RECOVERED," \
-       "finished at $FINAL, $RECONNECTS reconnects)"
-  cd ..
+start_server() {
+  # --auth-seed is fixed, so re-enrollment after the crash regenerates
+  # the exact same device keys the devices are already holding.
+  "$BUILD_DIR/tools/crowdml-server" --port "$1" --classes 10 --dim 50 \
+      --enroll 2 --keys-out "$2" --auth-seed 7 \
+      --io-threads 2 --checkin-queue-max 256 \
+      --wal-dir wal --fsync always --report-every 0.3 \
+      --max-iterations 100000 >> "$3" 2>&1 &
+  SERVER_PID=$!
 }
 
-run_scenario threads every-8 ""
-run_scenario epoll always "--io-threads 2 --checkin-queue-max 256"
+start_server 0 keys.csv server1.log
+
+PORT=""
+for i in $(seq 1 50); do
+  PORT=$(sed -n 's/.*listening on 127.0.0.1:\([0-9]*\).*/\1/p' server1.log)
+  [ -n "$PORT" ] && break
+  sleep 0.1
+done
+[ -n "$PORT" ] || { echo "server did not start"; cat server1.log; exit 1; }
+grep -q "^config: role=leader " server1.log || {
+  echo "missing effective-config line"; cat server1.log; exit 1; }
+
+# Devices with a generous retry budget: they must survive the restart
+# window (capped exponential backoff, checkins abandoned, never replayed).
+KEY1=$(sed -n 1p keys.csv)
+KEY2=$(sed -n 2p keys.csv)
+run_device() {
+  "$BUILD_DIR/tools/crowdml-device" --host 127.0.0.1 --port "$PORT" \
+      --data "$1" --key "$2" --minibatch 10 --epsilon 50 --passes 20 \
+      --classes 10 --max-attempts 60 --backoff-max-ms 500 \
+      --connect-timeout-ms 1000 > "$3" 2>&1 &
+}
+run_device dev_0.csv "$KEY1" dev1.log
+DEV1=$!
+run_device dev_1.csv "$KEY2" dev2.log
+DEV2=$!
+
+# Let training get going, then pull the plug without ceremony.
+PRE=0
+for i in $(seq 1 100); do
+  PRE=$(sed -n 's/^iteration t: *\([0-9]*\).*/\1/p' server1.log | tail -1)
+  [ -n "$PRE" ] && [ "$PRE" -ge 20 ] && break
+  PRE=0
+  sleep 0.1
+done
+[ "$PRE" -ge 20 ] || { echo "training never took off"; cat server1.log; exit 1; }
+kill -9 $SERVER_PID
+wait $SERVER_PID 2>/dev/null || true
+
+start_server "$PORT" keys2.csv server2.log
+
+RECOVERED=""
+for i in $(seq 1 50); do
+  RECOVERED=$(sed -n 's/^recovered state: iteration \([0-9]*\).*/\1/p' server2.log)
+  [ -n "$RECOVERED" ] && break
+  sleep 0.1
+done
+[ -n "$RECOVERED" ] || { echo "no recovery line"; cat server2.log; exit 1; }
+cmp -s keys.csv keys2.csv || { echo "re-enrolled keys differ"; exit 1; }
+
+# The WAL must have carried training at least to the last report we saw
+# — with --fsync always this is exactly "no acked checkin lost".
+[ "$RECOVERED" -ge "$PRE" ] || {
+  echo "recovered iteration $RECOVERED behind last report $PRE"
+  cat server2.log; exit 1; }
+
+wait $DEV1 || { echo "device 1 failed"; cat dev1.log; exit 1; }
+wait $DEV2 || { echo "device 2 failed"; cat dev2.log; exit 1; }
+cat dev1.log dev2.log
+
+# At least one device had to reconnect across the crash window.
+RECONNECTS=$(sed -n 's/^transport: \([0-9]*\) reconnects.*/\1/p' dev1.log dev2.log |
+    awk '{s+=$1} END {print s+0}')
+[ "$RECONNECTS" -ge 1 ] || { echo "no device ever reconnected"; exit 1; }
+
+# Training resumed: the restarted server moved past the recovered state.
+kill -TERM $SERVER_PID
+wait $SERVER_PID 2>/dev/null || true
+FINAL=$(sed -n 's/^iteration t: *\([0-9]*\).*/\1/p' server2.log | tail -1)
+[ -n "$FINAL" ] && [ "$FINAL" -gt "$RECOVERED" ] || {
+  echo "training did not resume (recovered $RECOVERED, final ${FINAL:-none})"
+  cat server2.log; exit 1; }
+grep -q "durable state compacted" server2.log || {
+  echo "no final compaction"; cat server2.log; exit 1; }
+ls wal/snapshot-*.bin >/dev/null 2>&1 || { echo "no snapshot on disk"; exit 1; }
+
+echo "kill-restart OK (crashed at >=$PRE, recovered at $RECOVERED," \
+     "finished at $FINAL, $RECONNECTS reconnects)"

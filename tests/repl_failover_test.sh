@@ -23,7 +23,7 @@ cd "$WORK"
     --shard-prefix dev_ --seed 42
 
 SERVER="$BUILD_DIR/tools/crowdml-server"
-COMMON="--classes 10 --dim 50 --auth-seed 7 --enroll 2 --engine epoll \
+COMMON="--classes 10 --dim 50 --auth-seed 7 --enroll 2 \
         --fsync always --report-every 0.2 --max-iterations 100000"
 
 # Vote listeners need fixed ports (each follower must name the other in

@@ -24,7 +24,7 @@ cd "$WORK"
     --shard-prefix dev_ --seed 42
 
 SERVER="$BUILD_DIR/tools/crowdml-server"
-COMMON="--classes 10 --dim 50 --auth-seed 7 --enroll 4 --engine epoll \
+COMMON="--classes 10 --dim 50 --auth-seed 7 --enroll 4 \
         --fsync always --report-every 0.2 --max-iterations 100000"
 
 # The shard map names both device ports before either server has bound,

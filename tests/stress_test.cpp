@@ -1,5 +1,6 @@
-// Stress and randomized-property tests: many concurrent TCP clients,
-// randomized message round-trips, and high-churn simulation runs.
+// Stress and randomized-property tests: many concurrent TCP clients of
+// the serving engine, randomized message round-trips, and high-churn
+// simulation runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +8,7 @@
 
 #include "core/crowd_simulation.hpp"
 #include "core/tcp_runtime.hpp"
+#include "engine/epoll_server.hpp"
 #include "models/logistic_regression.hpp"
 #include "opt/schedule.hpp"
 #include "rng/distributions.hpp"
@@ -68,7 +70,7 @@ TEST(TcpStress, TwentyConcurrentClients) {
                           std::make_unique<opt::SqrtDecaySchedule>(0.1), 100.0),
                       rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
-  core::TcpCrowdServer tcp(server, registry, 0);
+  engine::EpollCrowdServer tcp(server, registry, engine::EngineConfig{});
 
   constexpr int kClients = 20;
   constexpr int kCyclesPerClient = 50;
@@ -112,7 +114,7 @@ TEST(TcpStress, InterleavedGarbageDoesNotDisturbHonestClients) {
                           std::make_unique<opt::ConstantSchedule>(0.01), 100.0),
                       rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
-  core::TcpCrowdServer tcp(server, registry, 0);
+  engine::EpollCrowdServer tcp(server, registry, engine::EngineConfig{});
 
   std::atomic<bool> stop{false};
   std::thread vandal([&] {

@@ -1,12 +1,14 @@
 // Socket-layer fault tolerance: deadlines against stalled and hostile
 // peers, connect taxonomy/resolution, the fault-injection proxy, and the
-// server's connection management (cap, idle reaper, worker reaping).
+// reconnecting device session. The serving engine's own connection
+// management (cap, idle sweep) is covered in tests/engine_test.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
 
 #include "core/tcp_runtime.hpp"
+#include "engine/epoll_server.hpp"
 #include "net/fault_proxy.hpp"
 #include "net/tcp.hpp"
 #include "opt/schedule.hpp"
@@ -288,78 +290,14 @@ TEST(FaultProxy, CorruptionIsCaughtByFrameCrc) {
   }
 }
 
-// --- server connection management ---------------------------------------
-
-TEST(TcpServer, RefusesBeyondMaxConnections) {
-  auto server = make_learning_server(4, 2);
-  net::AuthRegistry registry(rng::Engine(2));
-  core::TcpServerConfig cfg;
-  cfg.max_connections = 2;
-  core::TcpCrowdServer tcp(server, registry, cfg);
-
-  core::TcpDeviceSession a("127.0.0.1", tcp.port(), 5000, 2000);
-  core::TcpDeviceSession b("127.0.0.1", tcp.port(), 5000, 2000);
-  // Park two real workers by completing one exchange on each.
-  net::CheckoutRequest req;
-  ASSERT_TRUE(a.exchange(net::encode_frame(net::MessageType::kCheckoutRequest,
-                                           req.serialize()))
-                  .has_value());
-  ASSERT_TRUE(b.exchange(net::encode_frame(net::MessageType::kCheckoutRequest,
-                                           req.serialize()))
-                  .has_value());
-
-  // The third connection gets a "server at capacity" nack, then EOF.
-  core::TcpDeviceSession c("127.0.0.1", tcp.port(), 5000, 2000);
-  const auto reply = c.exchange(net::encode_frame(
-      net::MessageType::kCheckoutRequest, req.serialize()));
-  if (reply.has_value()) {
-    const net::Frame f = net::decode_frame(*reply);
-    ASSERT_EQ(f.type, net::MessageType::kAck);
-    EXPECT_FALSE(net::AckMessage::deserialize(f.payload).ok);
-  }
-  EXPECT_GE(tcp.net_snapshot().refused_connections, 1);
-
-  tcp.shutdown();
-}
-
-TEST(TcpServer, IdleConnectionsAreClosedAndWorkersReaped) {
-  auto server = make_learning_server(4, 2);
-  net::AuthRegistry registry(rng::Engine(2));
-  core::TcpServerConfig cfg;
-  cfg.idle_timeout_ms = 100;
-  core::TcpCrowdServer tcp(server, registry, cfg);
-
-  // An idle device is disconnected by the server's deadline...
-  auto idle = TcpConnection::connect("127.0.0.1", tcp.port(), 2000);
-  ASSERT_TRUE(idle.has_value());
-  idle->set_deadline_ms(3000);
-  EXPECT_FALSE(idle->recv_frame().has_value());  // server closes; EOF here
-  EXPECT_EQ(idle->last_error(), NetError::kClosed);
-
-  // ...and the next accept reaps the finished worker.
-  const auto deadline = Clock::now() + std::chrono::seconds(5);
-  long long reaped = 0;
-  while (Clock::now() < deadline) {
-    auto poke = TcpConnection::connect("127.0.0.1", tcp.port(), 2000);
-    ASSERT_TRUE(poke.has_value());
-    reaped = tcp.net_snapshot().reaped_workers;
-    if (reaped >= 1) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  EXPECT_GE(reaped, 1);
-  EXPECT_GE(tcp.net_snapshot().idle_closed, 1);
-
-  tcp.shutdown();
-}
-
 // --- reconnecting session ----------------------------------------------
 
 TEST(ReconnectingSession, SurvivesServerSideDisconnects) {
   auto server = make_learning_server(4, 2);
   net::AuthRegistry registry(rng::Engine(2));
-  core::TcpServerConfig cfg;
+  engine::EngineConfig cfg;
   cfg.idle_timeout_ms = 80;  // aggressively hang up on idle devices
-  core::TcpCrowdServer tcp(server, registry, cfg);
+  engine::EpollCrowdServer tcp(server, registry, cfg);
 
   const auto creds = registry.enroll();
   net::CheckoutRequest req;

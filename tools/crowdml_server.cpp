@@ -13,21 +13,19 @@
 //       [--segment-max-bytes BYTES]           # WAL segment rotation size
 //       [--force-fresh]                       # discard unreadable state
 //                                             # instead of refusing to start
-//       [--engine threads|epoll]              # serving engine (default
-//                                             # threads; see docs/SCALING.md)
 //       [--model-instances K]                 # draw-and-discard pool of K
 //                                             # model instances, each with
 //                                             # its own applier + WAL stream
-//                                             # (epoll only; K=1 is byte-
-//                                             # identical to the single-
-//                                             # applier path; docs/SCALING.md)
-//       [--io-threads N]                      # epoll engine: I/O loop pool
-//       [--checkin-queue-max N]               # epoll engine: admission bound
+//                                             # (K=1 is byte-identical to
+//                                             # the single-applier path;
+//                                             # docs/SCALING.md)
+//       [--io-threads N]                      # I/O event-loop pool
+//       [--checkin-queue-max N]               # admission bound
 //                                             # (full queue sheds with a
 //                                             # retry_after nack)
 //       [--coord-steering]                    # coordinator tier: every
 //                                             # checkout/ack carries a pace
-//                                             # hint (epoll leader only;
+//                                             # hint (leader only;
 //                                             # docs/SCALING.md)
 //       [--coord-classes fast:4,slow:2]       # device classes name:weight,
 //                                             # listed order = priority
@@ -45,8 +43,8 @@
 //                                             # (default 2000)
 //       [--shard-map h1:p1,h2:p2]             # sharded cluster: every
 //                                             # shard's device address, in
-//                                             # shard-id order (epoll
-//                                             # leader only; docs/SHARDING.md)
+//                                             # shard-id order (leader
+//                                             # only; docs/SHARDING.md)
 //       [--shard-id N]                        # this process's index into
 //                                             # --shard-map
 //       [--shards N]                          # optional cross-check: must
@@ -113,7 +111,6 @@
 #include "coord/coordinator.hpp"
 #include "core/checkpoint.hpp"
 #include "core/monitor.hpp"
-#include "core/tcp_runtime.hpp"
 #include "engine/epoll_server.hpp"
 #include "models/logistic_regression.hpp"
 #include "multimodel/instance_pool.hpp"
@@ -219,19 +216,12 @@ int main(int argc, char** argv) {
   const double lr = flags.get_double("lr", 50.0);
   const double radius = flags.get_double("radius", 500.0);
 
-  // Draw-and-discard pool constraints (docs/SCALING.md): the pool rides
-  // the epoll engine's hooks, a follower replicates per-instance streams
-  // via PoolFollowerSet (not yet wired into this binary; see ROADMAP.md),
-  // and the legacy single-model --checkpoint format cannot describe k
-  // instances (per-instance state lives in the WAL namespaces instead).
+  // Draw-and-discard pool constraints (docs/SCALING.md): a follower
+  // replicates per-instance streams via PoolFollowerSet (not yet wired
+  // into this binary; see ROADMAP.md), and the single-model --checkpoint
+  // format cannot describe k instances (per-instance state lives in the
+  // WAL namespaces instead).
   if (pooled) {
-    if (flags.get("engine", "threads") != "epoll") {
-      std::fprintf(stderr,
-                   "crowdml-server: --model-instances %zu requires --engine "
-                   "epoll\n",
-                   model_instances);
-      return 1;
-    }
     if (is_follower) {
       std::fprintf(stderr,
                    "crowdml-server: --model-instances > 1 with --role "
@@ -413,13 +403,13 @@ int main(int argc, char** argv) {
   // engine below redirects checkins to the leader. A replicating leader
   // durably loads/bumps its fencing epoch and ships its WAL on a
   // dedicated port. The engine handles are declared here because the
-  // follower's on_applied republishes the epoll snapshot board.
-  // Declared before the engines: the coordinator must outlive the epoll
-  // server that steers through it (reverse destruction order).
+  // follower's on_applied republishes the engine's snapshot board.
+  // Declared before the engine: the coordinator must outlive the server
+  // that steers through it (reverse destruction order).
   // Secure-aggregation cohort manager (docs/PRIVACY.md): completed
   // cohorts apply through the ordinary checkin path, so the WAL records
   // one synthetic cohort checkin per round and recovery is unchanged.
-  // Declared before the engines (it must outlive them).
+  // Declared before the engine (it must outlive it).
   std::unique_ptr<secagg::CohortManager> cohort;
   if (secf.enabled) {
     secagg::CohortConfig scfg;
@@ -437,7 +427,6 @@ int main(int argc, char** argv) {
   }
 
   std::optional<coord::Coordinator> coordinator;
-  std::unique_ptr<core::TcpCrowdServer> tcp;
   std::unique_ptr<engine::EpollCrowdServer> epoll;
   std::unique_ptr<replica::Follower> follower;
   std::unique_ptr<replica::LogShipper> shipper;
@@ -525,280 +514,240 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Serving engine: the legacy thread-per-connection runtime stays the
-  // default; --engine epoll selects the event-loop engine with snapshot
-  // checkouts and group-committed checkins (docs/SCALING.md).
-  const std::string engine_kind = flags.get("engine", "threads");
+  // Serving engine (docs/SCALING.md): snapshot checkouts on the I/O
+  // loops, checkins applied and group-committed by the applier.
   const auto io_threads =
       static_cast<std::size_t>(flags.get_int("io-threads", 1));
   const auto queue_max =
       static_cast<std::size_t>(flags.get_int("checkin-queue-max", 1024));
-  std::uint16_t bound_port = 0;
-  if (engine_kind == "epoll") {
-    if (repl.repl_enabled && !pooled) {
-      replica::ShipperOptions shopts;
-      shopts.port = repl.repl_port;
-      shopts.ack_mode = *replica::parse_repl_ack_mode(repl.ack_mode);
-      shopts.quorum_follower_acks = replica::quorum_follower_acks_for(
-          static_cast<std::size_t>(repl.followers));
-      shopts.trace = trace.get();
-      shopts.key = repl_key;
-      // Leases: heartbeat at a third of the lease so one lost frame
-      // never looks like a dead leader. The advertised redirect target
-      // needs the device port, known only post-bind — it is injected
-      // below via set_advertise_leader_addr once the engine is up.
-      shopts.lease_ms = static_cast<std::uint32_t>(repl.lease_ms);
-      shopts.heartbeat_interval_ms =
-          std::max(1, static_cast<int>(repl.lease_ms / 3));
+  // Leader shipping options, for one stream or a pool's k streams.
+  // Leases: heartbeat at a third of the lease so one lost frame never
+  // looks like a dead leader. The advertised redirect target needs the
+  // device port, known only post-bind — it is injected below via
+  // set_advertise_leader_addr once the engine is up.
+  replica::ShipperOptions ship_opts;
+  ship_opts.port = repl.repl_port;
+  ship_opts.ack_mode = *replica::parse_repl_ack_mode(repl.ack_mode);
+  ship_opts.quorum_follower_acks = replica::quorum_follower_acks_for(
+      static_cast<std::size_t>(repl.followers));
+  ship_opts.trace = trace.get();
+  ship_opts.key = repl_key;
+  ship_opts.lease_ms = static_cast<std::uint32_t>(repl.lease_ms);
+  ship_opts.heartbeat_interval_ms =
+      std::max(1, static_cast<int>(repl.lease_ms / 3));
+  // Pace steering: one coordinator, or one per pool instance.
+  coord::CoordConfig ccfg;
+  ccfg.steering.target_utilization = coordf.target_utilization;
+  ccfg.steering.init_rate_per_s = coordf.init_rate;
+  ccfg.steering.min_hint_ms = static_cast<std::uint32_t>(coordf.min_hint_ms);
+  ccfg.steering.max_hint_ms = static_cast<std::uint32_t>(coordf.max_hint_ms);
+  ccfg.steering.queue_max = queue_max;
+  ccfg.steering.batch_max = engine::EngineConfig{}.checkin_batch_max;
+  // Round-deadline awareness: never steer a device past half the secagg
+  // round timeout, or paced devices would miss their cohort deadlines and
+  // drag every round into recovery.
+  if (secf.enabled)
+    ccfg.steering.deadline_ceiling_ms = static_cast<std::uint32_t>(
+        std::max<long long>(1, secf.round_timeout_ms / 2));
+  ccfg.metrics = &obs::default_registry();
+  if (repl.repl_enabled && !pooled) {
+    try {
+      shipper = std::make_unique<replica::LogShipper>(
+          server, *durable, repl_epoch, ship_opts);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "crowdml-server: %s\n", e.what());
+      return 1;
+    }
+    std::printf(
+        "replication: shipping on 127.0.0.1:%u (epoch %llu, ack=%s, "
+        "quorum=%zu of %lld followers)\n",
+        shipper->port(), static_cast<unsigned long long>(repl_epoch),
+        repl.ack_mode.c_str(), ship_opts.quorum_follower_acks,
+        repl.followers);
+  }
+  if (pooled) {
+    // Draw-and-discard pool: k servers, k appliers, k WAL namespaces
+    // under --wal-dir. Construction recovers every instance before the
+    // engine binds — same no-traffic-before-recovery rule as above.
+    const auto updater_kind = flags.get("updater", "sgd");
+    const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    const auto factory = [&](std::size_t i) {
+      return std::make_unique<core::Server>(
+          cfg, make_updater(updater_kind, lr, radius),
+          rng::Engine(seed).split(i));
+    };
+    multimodel::PoolOptions popts;
+    popts.instances = model_instances;
+    popts.seed = seed;
+    popts.checkin_queue_max = queue_max;
+    popts.wal_dir = wal_dir;
+    popts.store = sopts;
+    popts.metrics = &obs::default_registry();
+    popts.trace = trace.get();
+    if (coordf.enabled) {
+      // Pooled steering: one Coordinator per instance, owned by the
+      // applier whose commits it measures. The engine-level coordinator
+      // hook stays null (checkout hints are advisory; the consuming
+      // checkin-ack hints are the load-bearing pacing mechanism).
+      const coord::DeviceClassTable coord_classes = coordf.classes;
+      popts.coordinator_factory = [ccfg, coord_classes](std::size_t) {
+        return std::make_unique<coord::Coordinator>(ccfg, coord_classes);
+      };
+    }
+    try {
+      pool = std::make_unique<multimodel::ModelInstancePool>(
+          registry, factory, popts);
+    } catch (const store::WalError& e) {
+      std::fprintf(stderr,
+                   "crowdml-server: pool recovery from %s failed (%s); "
+                   "set the corrupt instance directory aside and "
+                   "restart\n",
+                   wal_dir.c_str(), e.what());
+      return 1;
+    }
+    if (!wal_dir.empty())
+      for (std::size_t i = 0; i < pool->instances(); ++i)
+        std::printf(
+            "instance %zu: recovered iteration %llu (%llu wal records "
+            "replayed)\n",
+            i,
+            static_cast<unsigned long long>(pool->server(i).version()),
+            static_cast<unsigned long long>(
+                pool->store(i)->recovery_info().records_replayed));
+    if (repl.repl_enabled) {
       try {
-        shipper = std::make_unique<replica::LogShipper>(server, *durable,
-                                                        repl_epoch, shopts);
+        // One stream per instance on repl_port..repl_port+k-1, each
+        // tagged with its instance id; installs the pool's on_commit
+        // notify/quorum chain, so it must precede pool->start().
+        shipper_set = std::make_unique<multimodel::PoolShipperSet>(
+            *pool, repl_epoch, ship_opts);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "crowdml-server: %s\n", e.what());
         return 1;
       }
       std::printf(
-          "replication: shipping on 127.0.0.1:%u (epoch %llu, ack=%s, "
-          "quorum=%zu of %lld followers)\n",
-          shipper->port(), static_cast<unsigned long long>(repl_epoch),
-          repl.ack_mode.c_str(), shopts.quorum_follower_acks, repl.followers);
+          "replication: shipping %zu instance streams on "
+          "127.0.0.1:%u..%u (epoch %llu, ack=%s)\n",
+          pool->instances(), shipper_set->port(0),
+          shipper_set->port(pool->instances() - 1),
+          static_cast<unsigned long long>(repl_epoch),
+          repl.ack_mode.c_str());
     }
-    if (pooled) {
-      // Draw-and-discard pool: k servers, k appliers, k WAL namespaces
-      // under --wal-dir. Construction recovers every instance before the
-      // engine binds — same no-traffic-before-recovery rule as above.
-      const auto updater_kind = flags.get("updater", "sgd");
-      const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-      const auto factory = [&](std::size_t i) {
-        return std::make_unique<core::Server>(
-            cfg, make_updater(updater_kind, lr, radius),
-            rng::Engine(seed).split(i));
-      };
-      multimodel::PoolOptions popts;
-      popts.instances = model_instances;
-      popts.seed = seed;
-      popts.checkin_queue_max = queue_max;
-      popts.wal_dir = wal_dir;
-      popts.store = sopts;
-      popts.metrics = &obs::default_registry();
-      popts.trace = trace.get();
-      if (coordf.enabled) {
-        // Pooled steering: one Coordinator per instance, owned by the
-        // applier whose commits it measures. The engine-level coordinator
-        // hook stays null (checkout hints are advisory; the consuming
-        // checkin-ack hints are the load-bearing pacing mechanism).
-        coord::CoordConfig ccfg;
-        ccfg.steering.target_utilization = coordf.target_utilization;
-        ccfg.steering.init_rate_per_s = coordf.init_rate;
-        ccfg.steering.min_hint_ms =
-            static_cast<std::uint32_t>(coordf.min_hint_ms);
-        ccfg.steering.max_hint_ms =
-            static_cast<std::uint32_t>(coordf.max_hint_ms);
-        ccfg.steering.queue_max = queue_max;
-        ccfg.steering.batch_max = engine::EngineConfig{}.checkin_batch_max;
-        if (secf.enabled)
-          ccfg.steering.deadline_ceiling_ms = static_cast<std::uint32_t>(
-              std::max<long long>(1, secf.round_timeout_ms / 2));
-        ccfg.metrics = &obs::default_registry();
-        const coord::DeviceClassTable coord_classes = coordf.classes;
-        popts.coordinator_factory = [ccfg, coord_classes](std::size_t) {
-          return std::make_unique<coord::Coordinator>(ccfg, coord_classes);
-        };
-      }
-      try {
-        pool = std::make_unique<multimodel::ModelInstancePool>(
-            registry, factory, popts);
-      } catch (const store::WalError& e) {
-        std::fprintf(stderr,
-                     "crowdml-server: pool recovery from %s failed (%s); "
-                     "set the corrupt instance directory aside and "
-                     "restart\n",
-                     wal_dir.c_str(), e.what());
-        return 1;
-      }
-      if (!wal_dir.empty())
-        for (std::size_t i = 0; i < pool->instances(); ++i)
-          std::printf(
-              "instance %zu: recovered iteration %llu (%llu wal records "
-              "replayed)\n",
-              i,
-              static_cast<unsigned long long>(pool->server(i).version()),
-              static_cast<unsigned long long>(
-                  pool->store(i)->recovery_info().records_replayed));
-      if (repl.repl_enabled) {
-        replica::ShipperOptions shopts;
-        shopts.port = repl.repl_port;
-        shopts.ack_mode = *replica::parse_repl_ack_mode(repl.ack_mode);
-        shopts.quorum_follower_acks = replica::quorum_follower_acks_for(
-            static_cast<std::size_t>(repl.followers));
-        shopts.trace = trace.get();
-        shopts.key = repl_key;
-        shopts.lease_ms = static_cast<std::uint32_t>(repl.lease_ms);
-        shopts.heartbeat_interval_ms =
-            std::max(1, static_cast<int>(repl.lease_ms / 3));
-        try {
-          // One stream per instance on repl_port..repl_port+k-1, each
-          // tagged with its instance id; installs the pool's on_commit
-          // notify/quorum chain, so it must precede pool->start().
-          shipper_set = std::make_unique<multimodel::PoolShipperSet>(
-              *pool, repl_epoch, shopts);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "crowdml-server: %s\n", e.what());
-          return 1;
-        }
-        std::printf(
-            "replication: shipping %zu instance streams on "
-            "127.0.0.1:%u..%u (epoch %llu, ack=%s)\n",
-            pool->instances(), shipper_set->port(0),
-            shipper_set->port(pool->instances() - 1),
-            static_cast<unsigned long long>(repl_epoch),
-            repl.ack_mode.c_str());
-      }
-      pool->start();
-    }
-    engine::EngineConfig ecfg;
-    ecfg.port = port;
-    ecfg.io_threads = io_threads;
-    ecfg.checkin_queue_max = queue_max;
-    ecfg.metrics = &obs::default_registry();
-    ecfg.trace = trace.get();
-    if (coordf.enabled && !pool) {
-      coord::CoordConfig ccfg;
-      ccfg.steering.target_utilization = coordf.target_utilization;
-      ccfg.steering.init_rate_per_s = coordf.init_rate;
-      ccfg.steering.min_hint_ms =
-          static_cast<std::uint32_t>(coordf.min_hint_ms);
-      ccfg.steering.max_hint_ms =
-          static_cast<std::uint32_t>(coordf.max_hint_ms);
-      ccfg.steering.queue_max = queue_max;
-      ccfg.steering.batch_max = ecfg.checkin_batch_max;
-      // Round-deadline awareness: never steer a device past half the
-      // secagg round timeout, or paced devices would miss their cohort
-      // deadlines and drag every round into recovery.
-      if (secf.enabled)
-        ccfg.steering.deadline_ceiling_ms = static_cast<std::uint32_t>(
-            std::max<long long>(1, secf.round_timeout_ms / 2));
-      ccfg.metrics = &obs::default_registry();
-      coordinator.emplace(ccfg, coordf.classes);
-      ecfg.coordinator = &*coordinator;
-    }
-    ecfg.secagg = cohort.get();
-    if (shardf.enabled) {
-      // Merge plane: this shard answers ShardPull/ShardMergePush (sealed
-      // with the replication key) on its applier thread; a merge
-      // overwrite is WAL'd as a MergeRecord and group-committed exactly
-      // like a checkin batch.
-      shard::ShardServiceConfig scfg;
-      scfg.shard_id = shardf.shard_id;
-      scfg.key = repl_key;
-      scfg.store = durable.get();
-      scfg.metrics = &obs::default_registry();
-      scfg.trace = trace.get();
-      shard_service = std::make_unique<shard::ShardService>(scfg, server);
-      ecfg.shard = shard_service.get();
-      if (shardf.map.size() > 1) {
-        // Device partitioning: checkins for a device this shard does not
-        // own are nacked pre-application with "wrong shard; shard=<addr>"
-        // so the session replays at the owner. With one shard the hook
-        // stays null and every frame is byte-identical to unsharded.
-        const shard::ShardMap map = shardf.map;
-        const std::size_t self = shardf.shard_id;
-        ecfg.shard_route =
-            [map, self](std::uint64_t device_id) -> std::optional<std::string> {
-          const std::size_t owner = map.shard_of(device_id);
-          if (owner == self) return std::nullopt;
-          return map.addr(owner);
-        };
-      }
-    }
-    if (pool) multimodel::wire_engine(*pool, ecfg);
-    if (is_follower) {
-      ecfg.checkin_redirect = repl.leader_addr;
-      if (repl.max_read_lag > 0) {
-        // Bounded-staleness reads: checkouts on a replica lagging more
-        // than this many records behind the leader's committed watermark
-        // are nacked with a retry hint instead of served stale.
-        replica::Follower* f = follower.get();
-        ecfg.read_lag = [f] { return f->read_lag(); };
-        ecfg.max_read_lag = static_cast<std::uint64_t>(repl.max_read_lag);
-      }
-    }
-    if (durable) {
-      // One fsync per drained batch instead of one per checkin; acks are
-      // held until the batch commit succeeds, so acked => durable holds.
-      // With a quorum shipper, acks additionally wait for a majority of
-      // followers to durably append the batch (acked => replicated).
-      durable->set_group_commit(true);
-      store::DurableStore* d = durable.get();
-      replica::LogShipper* s = shipper.get();
-      ecfg.group_commit = [d, s] {
-        if (!d->commit_group()) return false;
-        if (!s) return true;
-        s->notify_committed();
-        return s->await_quorum(d->wal().last_seq());
+    pool->start();
+  }
+  engine::EngineConfig ecfg;
+  ecfg.port = port;
+  ecfg.io_threads = io_threads;
+  ecfg.checkin_queue_max = queue_max;
+  ecfg.metrics = &obs::default_registry();
+  ecfg.trace = trace.get();
+  if (coordf.enabled && !pool) {
+    coordinator.emplace(ccfg, coordf.classes);
+    ecfg.coordinator = &*coordinator;
+  }
+  ecfg.secagg = cohort.get();
+  if (shardf.enabled) {
+    // Merge plane: this shard answers ShardPull/ShardMergePush (sealed
+    // with the replication key) on its applier thread; a merge
+    // overwrite is WAL'd as a MergeRecord and group-committed exactly
+    // like a checkin batch.
+    shard::ShardServiceConfig scfg;
+    scfg.shard_id = shardf.shard_id;
+    scfg.key = repl_key;
+    scfg.store = durable.get();
+    scfg.metrics = &obs::default_registry();
+    scfg.trace = trace.get();
+    shard_service = std::make_unique<shard::ShardService>(scfg, server);
+    ecfg.shard = shard_service.get();
+    if (shardf.map.size() > 1) {
+      // Device partitioning: checkins for a device this shard does not
+      // own are nacked pre-application with "wrong shard; shard=<addr>"
+      // so the session replays at the owner. With one shard the hook
+      // stays null and every frame is byte-identical to unsharded.
+      const shard::ShardMap map = shardf.map;
+      const std::size_t self = shardf.shard_id;
+      ecfg.shard_route =
+          [map, self](std::uint64_t device_id) -> std::optional<std::string> {
+        const std::size_t owner = map.shard_of(device_id);
+        if (owner == self) return std::nullopt;
+        return map.addr(owner);
       };
     }
-    // A pool's engine still needs a core::Server for its (idle) board;
-    // instance 0 stands in — checkouts and checkins never touch it once
-    // the pool hooks are wired.
-    epoll = std::make_unique<engine::EpollCrowdServer>(
-        pool ? pool->server(0) : server, registry, ecfg);
-    bound_port = epoll->port();
-    if (shipper)
-      shipper->set_advertise_leader_addr(repl.advertise_host + ":" +
-                                         std::to_string(bound_port));
-    if (shipper_set)
-      for (std::size_t i = 0; i < shipper_set->size(); ++i)
-        shipper_set->shipper(i).set_advertise_leader_addr(
-            repl.advertise_host + ":" + std::to_string(bound_port));
-    if (follower) {
-      follower->set_device_addr(repl.advertise_host + ":" +
-                                std::to_string(bound_port));
-      follower->start();
-      if (repl.election_timeout_ms > 0)
-        std::printf(
-            "failover: election timeout %lldms, vote listener on "
-            "127.0.0.1:%u, %zu peer(s)\n",
-            repl.election_timeout_ms, follower->vote_port(), peers.size());
+  }
+  if (pool) multimodel::wire_engine(*pool, ecfg);
+  if (is_follower) {
+    ecfg.checkin_redirect = repl.leader_addr;
+    if (repl.max_read_lag > 0) {
+      // Bounded-staleness reads: checkouts on a replica lagging more
+      // than this many records behind the leader's committed watermark
+      // are nacked with a retry hint instead of served stale.
+      replica::Follower* f = follower.get();
+      ecfg.read_lag = [f] { return f->read_lag(); };
+      ecfg.max_read_lag = static_cast<std::uint64_t>(repl.max_read_lag);
     }
-    if (shardf.enabled && shardf.merge_ms > 0) {
-      // Cross-shard merge driver. Exactly one process per cluster should
-      // set --shard-merge-ms > 0 (by convention shard 0); every other
-      // shard leaves it at 0 and only answers the merge plane.
-      shard::MergeDirectorConfig dcfg;
-      dcfg.map = shardf.map;
-      dcfg.key = repl_key;
-      dcfg.interval_ms = static_cast<std::uint32_t>(shardf.merge_ms);
-      dcfg.metrics = &obs::default_registry();
-      dcfg.trace = trace.get();
-      merge_director = std::make_unique<shard::MergeDirector>(dcfg);
-      merge_director->start();
-      std::printf("shard merge director: %zu shard(s), every %lldms\n",
-                  shardf.map.size(), shardf.merge_ms);
-    }
-  } else if (engine_kind == "threads") {
-    core::TcpServerConfig tcp_cfg;
-    tcp_cfg.port = port;
-    tcp_cfg.metrics = &obs::default_registry();
-    tcp_cfg.trace = trace.get();
-    tcp_cfg.secagg = cohort.get();
-    tcp = std::make_unique<core::TcpCrowdServer>(server, registry, tcp_cfg);
-    bound_port = tcp->port();
-  } else {
-    std::fprintf(stderr,
-                 "crowdml-server: unknown --engine %s (threads|epoll)\n",
-                 engine_kind.c_str());
-    return 1;
+  }
+  if (durable) {
+    // One fsync per drained batch instead of one per checkin; acks are
+    // held until the batch commit succeeds, so acked => durable holds.
+    // With a quorum shipper, acks additionally wait for a majority of
+    // followers to durably append the batch (acked => replicated).
+    durable->set_group_commit(true);
+    store::DurableStore* d = durable.get();
+    replica::LogShipper* s = shipper.get();
+    ecfg.group_commit = [d, s] {
+      if (!d->commit_group()) return false;
+      if (!s) return true;
+      s->notify_committed();
+      return s->await_quorum(d->wal().last_seq());
+    };
+  }
+  // A pool's engine still needs a core::Server for its (idle) board;
+  // instance 0 stands in — checkouts and checkins never touch it once
+  // the pool hooks are wired.
+  epoll = std::make_unique<engine::EpollCrowdServer>(
+      pool ? pool->server(0) : server, registry, ecfg);
+  const std::uint16_t bound_port = epoll->port();
+  if (shipper)
+    shipper->set_advertise_leader_addr(repl.advertise_host + ":" +
+                                       std::to_string(bound_port));
+  if (shipper_set)
+    for (std::size_t i = 0; i < shipper_set->size(); ++i)
+      shipper_set->shipper(i).set_advertise_leader_addr(
+          repl.advertise_host + ":" + std::to_string(bound_port));
+  if (follower) {
+    follower->set_device_addr(repl.advertise_host + ":" +
+                              std::to_string(bound_port));
+    follower->start();
+    if (repl.election_timeout_ms > 0)
+      std::printf(
+          "failover: election timeout %lldms, vote listener on "
+          "127.0.0.1:%u, %zu peer(s)\n",
+          repl.election_timeout_ms, follower->vote_port(), peers.size());
+  }
+  if (shardf.enabled && shardf.merge_ms > 0) {
+    // Cross-shard merge driver. Exactly one process per cluster should
+    // set --shard-merge-ms > 0 (by convention shard 0); every other
+    // shard leaves it at 0 and only answers the merge plane.
+    shard::MergeDirectorConfig dcfg;
+    dcfg.map = shardf.map;
+    dcfg.key = repl_key;
+    dcfg.interval_ms = static_cast<std::uint32_t>(shardf.merge_ms);
+    dcfg.metrics = &obs::default_registry();
+    dcfg.trace = trace.get();
+    merge_director = std::make_unique<shard::MergeDirector>(dcfg);
+    merge_director->start();
+    std::printf("shard merge director: %zu shard(s), every %lldms\n",
+                shardf.map.size(), shardf.merge_ms);
   }
   // The effective configuration, once, so a log file pins down exactly
   // what this process is running with (flags have defaults; the port may
   // have been ephemeral).
   std::printf(
-      "config: engine=%s role=%s port=%u dim=%zu classes=%zu updater=%s lr=%g "
+      "config: role=%s port=%u dim=%zu classes=%zu updater=%s lr=%g "
       "radius=%g max-iterations=%lld target-error=%g wal=%s fsync=%s "
       "io-threads=%zu checkin-queue-max=%zu model-instances=%zu "
       "report-every=%gs\n",
-      engine_kind.c_str(), repl.role.c_str(), bound_port, dim, classes,
+      repl.role.c_str(), bound_port, dim, classes,
       flags.get("updater", "sgd").c_str(), lr, radius,
       static_cast<long long>(cfg.max_iterations), cfg.target_error,
       wal_dir.empty() ? "(none)" : wal_dir.c_str(),
@@ -987,10 +936,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     merge_director->rounds_skipped()));
   }
-  if (tcp) tcp->shutdown();
   // For a pool the engine's shutdown_drain drains every instance queue
   // while the event loops are still alive, then pool appliers join.
-  if (epoll) epoll->shutdown();
+  epoll->shutdown();
   if (pool) {
     for (std::size_t i = 0; i < pool->instances(); ++i) {
       if (!wal_dir.empty() && pool->store(i)->compact(pool->server(i)))

@@ -123,7 +123,6 @@ inline ReplicaFlags parse_replica_flags(const Flags& flags) {
   r.repl_key_file = flags.get("repl-key-file", "");
   r.advertise_host = flags.get("advertise-host", "127.0.0.1");
   const std::string wal_dir = flags.get("wal-dir", "");
-  const std::string engine = flags.get("engine", "threads");
 
   if (r.role != "leader" && r.role != "follower") {
     r.error = "unknown --role " + r.role + " (leader|follower)";
@@ -165,11 +164,6 @@ inline ReplicaFlags parse_replica_flags(const Flags& flags) {
     r.leader_port = static_cast<std::uint16_t>(port);
     if (wal_dir.empty()) {
       r.error = "--role follower requires --wal-dir (the replica's log)";
-      return r;
-    }
-    if (engine != "epoll") {
-      r.error = "--role follower requires --engine epoll (snapshot-board "
-                "checkouts)";
       return r;
     }
     if (flags.has("repl-ack") || flags.has("repl-port") ||
@@ -229,11 +223,6 @@ inline ReplicaFlags parse_replica_flags(const Flags& flags) {
               "buffer)";
     return r;
   }
-  if (r.repl_enabled && engine != "epoll") {
-    r.error = "replication requires --engine epoll (the shipping watermark "
-              "advances on the group-commit path)";
-    return r;
-  }
   if (r.ack_mode == "quorum" && r.followers < 1) {
     r.error = "--repl-ack quorum requires --repl-followers >= 1";
     return r;
@@ -256,7 +245,7 @@ inline ReplicaFlags parse_replica_flags(const Flags& flags) {
 ///                                      first measured commit, checkins/s,
 ///                                      default 2000)
 /// Every --coord-* flag other than --coord-steering requires steering to
-/// be enabled; steering requires --engine epoll and a leader role. With
+/// be enabled; steering requires a leader role. With
 /// --model-instances k > 1 each instance's applier owns its own
 /// Coordinator (k independent per-class pacing clocks — the clock must
 /// live where the commits it measures happen; see docs/SCALING.md).
@@ -299,11 +288,6 @@ inline CoordFlags parse_coord_flags(const Flags& flags) {
     return c;
   }
 
-  if (flags.get("engine", "threads") != "epoll") {
-    c.error = "--coord-steering requires --engine epoll (hints ride the "
-              "snapshot board and the applier's ack path)";
-    return c;
-  }
   if (flags.get("role", "leader") == "follower") {
     c.error = "--coord-steering is a leader feature (a follower refuses "
               "checkins, so it has no applier to steer toward)";
@@ -413,7 +397,7 @@ inline SecAggFlags parse_secagg_flags(const Flags& flags) {
 ///                                 every N ms; 0/absent = no director
 ///                                 here. Exactly one process per cluster
 ///                                 should set it — by convention shard 0)
-/// Sharding requires --engine epoll, a leader role, --model-instances 1
+/// Sharding requires a leader role, --model-instances 1
 /// (a shard leader is the plain single-applier stack), and --wal-dir
 /// (the merge plane's "acked => durable" rides the WAL). `error` is
 /// non-empty when the combination is invalid.
@@ -479,11 +463,6 @@ inline ShardFlags parse_shard_flags(const Flags& flags) {
     return s;
   }
   s.merge_ms = merge_ms;
-  if (flags.get("engine", "threads") != "epoll") {
-    s.error = "--shard-map requires --engine epoll (the wrong-shard gate "
-              "and merge plane live on its I/O and applier threads)";
-    return s;
-  }
   if (flags.get("role", "leader") != "leader") {
     s.error = "--shard-map is a leader flag (a shard's followers are "
               "plain followers of that shard's leader and need no map)";
