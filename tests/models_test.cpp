@@ -201,6 +201,10 @@ struct ModelFactory {
   std::unique_ptr<models::Model> (*make)();
 };
 
+// Without this gtest prints the raw pointer bytes, so the discovered test
+// names would change with every build layout and every ASLR base.
+void PrintTo(const ModelFactory& f, std::ostream* os) { *os << f.name; }
+
 std::unique_ptr<models::Model> make_mc_logistic() {
   return std::make_unique<models::MulticlassLogisticRegression>(4, 6, 0.0);
 }

@@ -1,7 +1,9 @@
 // Socket-layer fault tolerance: deadlines against stalled and hostile
 // peers, connect taxonomy/resolution, the fault-injection proxy, and the
-// reconnecting device session. The serving engine's own connection
-// management (cap, idle sweep) is covered in tests/engine_test.cpp.
+// reconnecting device session, and the server's connection management
+// (cap, idle deadline) as a device socket sees it. The engine's internals
+// for the same (acceptor-side cap, sweep counters) are covered in
+// tests/engine_test.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -288,6 +290,65 @@ TEST(FaultProxy, CorruptionIsCaughtByFrameCrc) {
     // then recv_frame already failed above).
     EXPECT_THROW(net::decode_frame(*reply), net::CodecError);
   }
+}
+
+// --- server connection management, as a device socket sees it ----------
+
+TEST(TcpServer, RefusesBeyondMaxConnections) {
+  auto server = make_learning_server(4, 2);
+  net::AuthRegistry registry(rng::Engine(2));
+  engine::EngineConfig cfg;
+  cfg.max_connections = 2;
+  engine::EpollCrowdServer tcp(server, registry, cfg);
+
+  core::TcpDeviceSession a("127.0.0.1", tcp.port(), 5000, 2000);
+  core::TcpDeviceSession b("127.0.0.1", tcp.port(), 5000, 2000);
+  // Two served connections stay open and keep their slots.
+  net::CheckoutRequest req;
+  ASSERT_TRUE(a.exchange(net::encode_frame(net::MessageType::kCheckoutRequest,
+                                           req.serialize()))
+                  .has_value());
+  ASSERT_TRUE(b.exchange(net::encode_frame(net::MessageType::kCheckoutRequest,
+                                           req.serialize()))
+                  .has_value());
+
+  // The third connection gets a "server at capacity" nack, then EOF.
+  core::TcpDeviceSession c("127.0.0.1", tcp.port(), 5000, 2000);
+  const auto reply = c.exchange(net::encode_frame(
+      net::MessageType::kCheckoutRequest, req.serialize()));
+  if (reply.has_value()) {
+    const net::Frame f = net::decode_frame(*reply);
+    ASSERT_EQ(f.type, net::MessageType::kAck);
+    EXPECT_FALSE(net::AckMessage::deserialize(f.payload).ok);
+  }
+  EXPECT_GE(tcp.net_snapshot().refused_connections, 1);
+
+  tcp.shutdown();
+}
+
+TEST(TcpServer, IdleConnectionsAreClosedAndWorkersReaped) {
+  auto server = make_learning_server(4, 2);
+  net::AuthRegistry registry(rng::Engine(2));
+  engine::EngineConfig cfg;
+  cfg.idle_timeout_ms = 100;
+  engine::EpollCrowdServer tcp(server, registry, cfg);
+
+  // An idle device is disconnected by the server's deadline...
+  auto idle = TcpConnection::connect("127.0.0.1", tcp.port(), 2000);
+  ASSERT_TRUE(idle.has_value());
+  idle->set_deadline_ms(3000);
+  EXPECT_FALSE(idle->recv_frame().has_value());  // server closes; EOF here
+  EXPECT_EQ(idle->last_error(), NetError::kClosed);
+
+  // ...and its connection slot is released (the engine has no per-connection
+  // worker; the slot is what a reaped worker used to hold).
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (Clock::now() < deadline && tcp.connections() != 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(tcp.connections(), 0u);
+  EXPECT_GE(tcp.net_snapshot().idle_closed, 1);
+
+  tcp.shutdown();
 }
 
 // --- reconnecting session ----------------------------------------------
