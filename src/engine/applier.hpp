@@ -7,11 +7,24 @@
 //   apply      each frame through the ProtocolServer (Eq. 3 for a
 //              checkin), so the server's update sequence is exactly the
 //              order the requests were admitted in;
+//   park       with a secagg::CohortManager attached, a secure-aggregation
+//              request whose answer is not ready yet (a pending assign, a
+//              collecting status poll) is held instead of answered, up to
+//              the queue's capacity (past it the reply goes at once).
+//              Held requests go through the same ProtocolServer call
+//              again when the manager's change counter moves, when its
+//              next deadline passes, and on every idle pass; the ones now
+//              answered (cohort sealed, round resolved or recovering,
+//              fallback decided) join this batch's replies;
 //   commit     one group commit for the whole batch (one WAL fsync, plus
 //              the replication quorum wait when a shipper is wired in);
 //   nack       on commit failure every ok-ack in the batch becomes a
 //              "durability failure" nack — the acks have not left yet, so
-//              acked => durable never lies;
+//              acked => durable never lies. Replies to held requests
+//              and a status reply saying a round completed (that round's
+//              ack) are kept, as they are, for the first later batch
+//              whose commit succeeds; past the cap a "complete" reply
+//              becomes the nack instead;
 //   pace       with a coordinator, every checkin ack carries the class's
 //              next_checkin_hint_ms (after the nack rewrite, so the hint
 //              survives it);
@@ -19,13 +32,20 @@
 //              sees its ack and checks out again finds its own update;
 //   release    responses grouped per event loop, one wakeup per loop.
 //
+// Once the queue is closed and drained, held requests get their current
+// answer (a not-ready one carries its retry hint) before the loop exits.
+//
 // engine::EpollCrowdServer runs one applier over the caller's server;
 // multimodel::ModelInstancePool runs one per model instance.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <mutex>
+#include <utility>
+#include <vector>
 
 #include "coord/coordinator.hpp"
 #include "core/protocol.hpp"
@@ -61,6 +81,21 @@ class InternalRecords {
 /// pending.
 inline constexpr std::size_t kRecordFlush = 64;
 
+/// Connections the event loops have closed, handed from loop threads to
+/// the applier so requests it holds for them are dropped, not answered
+/// into the void. Thread-safe.
+class ClosedConnections {
+ public:
+  using Entry = std::pair<EventLoop*, std::uint64_t>;
+  void add(EventLoop* loop, std::uint64_t conn_id);
+  /// Move every entry added since the last call into `out` (cleared).
+  void take(std::vector<Entry>& out);
+
+ private:
+  std::mutex mu_;
+  std::vector<Entry> entries_;
+};
+
 /// What one applier runs over. Everything referenced must outlive
 /// run_applier.
 struct ApplierParts {
@@ -78,6 +113,12 @@ struct ApplierParts {
   /// is its single publisher. Null = always publish.
   const std::atomic<bool>* publish_paused = nullptr;
   InternalRecords* records = nullptr;
+  /// The cohort manager the protocol server dispatches secagg frames to;
+  /// set, not-ready secagg requests are held (the park step). Null = no
+  /// request is ever held and no frame is inspected for it.
+  const secagg::CohortManager* secagg = nullptr;
+  /// Where the event loops report closed connections (with `secagg`).
+  ClosedConnections* closed = nullptr;
   obs::MetricsRegistry* metrics = nullptr;  ///< null = default_registry()
   obs::TraceSink* trace = nullptr;
 };

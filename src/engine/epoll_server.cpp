@@ -75,6 +75,12 @@ EpollCrowdServer::EpollCrowdServer(core::Server& server,
   loop_opts.trace = config_.trace;
   loops_.reserve(config_.io_threads);
   for (std::size_t i = 0; i < config_.io_threads; ++i) {
+    // With secagg, the applier holds requests per connection and must
+    // hear when one closes.
+    if (config_.secagg)
+      loop_opts.on_close = [this, i](std::uint64_t conn_id) {
+        closed_.add(loops_[i].get(), conn_id);
+      };
     loops_.push_back(std::make_unique<EventLoop>(
         loop_opts, [this, i](std::uint64_t conn_id, net::Bytes&& frame) {
           on_frame(loops_[i].get(), conn_id, std::move(frame));
@@ -95,6 +101,8 @@ EpollCrowdServer::EpollCrowdServer(core::Server& server,
                  .commit = [this] { return group_commit(); },
                  .coordinator = config_.coordinator,
                  .publish_paused = &redirect_active_,
+                 .secagg = config_.secagg,
+                 .closed = config_.secagg ? &closed_ : nullptr,
                  .metrics = config_.metrics,
                  .trace = config_.trace});
   });

@@ -40,6 +40,7 @@
 #include "coord/coordinator.hpp"
 #include "core/monitor.hpp"
 #include "core/protocol.hpp"
+#include "engine/applier.hpp"
 #include "engine/checkin_queue.hpp"
 #include "engine/event_loop.hpp"
 #include "engine/snapshot_board.hpp"
@@ -139,7 +140,9 @@ struct EngineConfig {
   /// Secure-aggregation cohort manager (docs/PRIVACY.md). Frame types
   /// 11-13 (SecAggAssign/Masked/Reveal) dispatch to it after
   /// authentication; completed cohorts are applied through the ordinary
-  /// checkin path (WAL'd as one synthetic cohort record). Null (the
+  /// checkin path (WAL'd as one synthetic cohort record). An assign or
+  /// status request whose answer is not ready yet is held by the applier
+  /// and answered once it is (engine/applier.hpp, the park step). Null (the
   /// default) disables secure aggregation: those frames are nacked and
   /// every classic frame's bytes are unchanged. Must outlive the engine.
   secagg::CohortManager* secagg = nullptr;
@@ -216,6 +219,8 @@ class EpollCrowdServer {
   core::NetCounters counters_;
   ModelSnapshotBoard board_;
   CheckinQueue queue_;
+  /// Closed connections reported to the applier (secagg only).
+  ClosedConnections closed_;
   /// Pre-encoded refusal frame for checkout auth failures (constant).
   net::Bytes auth_refused_frame_;
   /// Pre-encoded "not leader" nack for checkins in follower mode. The

@@ -222,6 +222,7 @@ void EventLoop::close_conn(std::uint64_t id) {
   ::close(it->second->fd);
   conns_.erase(it);
   conn_count_.fetch_sub(1);
+  if (opts_.on_close) opts_.on_close(id);
 }
 
 void EventLoop::sweep_idle() {
@@ -278,6 +279,9 @@ void EventLoop::run() {
     }
     sweep_idle();
   }
+  // Responses posted before stop() still go out: post() refuses new
+  // tasks once stopping_ is set, so this drains everything owed.
+  run_tasks();
   for (auto& [id, conn] : conns_) ::close(conn->fd);
   conn_count_.fetch_sub(conns_.size());
   conns_.clear();

@@ -53,6 +53,10 @@ class EventLoop {
     /// Lifecycle trace events (idle_close, protocol_error). Null
     /// disables. Must outlive the loop.
     obs::TraceSink* trace = nullptr;
+    /// Called on the loop thread with the id of each connection it
+    /// closes while running (EOF, socket error, idle sweep). Null
+    /// disables.
+    std::function<void(std::uint64_t conn_id)> on_close;
   };
 
   /// Called on the loop thread with each complete inbound frame. The
@@ -88,7 +92,9 @@ class EventLoop {
   /// Thread-safe; dropped after stop().
   void post(std::function<void()> fn);
 
-  /// Stop the loop, close every connection, and join the thread.
+  /// Stop the loop, close every connection, and join the thread. Sends
+  /// posted before stop() are written (as far as the socket takes them
+  /// without blocking) before the connections close.
   void stop();
 
   /// Connections adopted and not yet closed, including adopts still

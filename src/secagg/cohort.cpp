@@ -63,6 +63,7 @@ void CohortManager::tick() {
 
 void CohortManager::tick_locked() {
   const std::int64_t now = now_ms();
+  last_tick_ms_ = now;
   for (auto& [id, round] : rounds_) {
     if (round.state == Round::kCollecting && now >= round.deadline_ms) {
       if (round.submitted.size() == round.roster.size()) {
@@ -83,6 +84,7 @@ void CohortManager::tick_locked() {
             round.dead.push_back(id2);
         }
         for (std::uint64_t d : round.dead) assignment_.erase(d);
+        ++changes_;
         if (config_.trace)
           config_.trace->event("secagg_round_recovering",
                                {{"round", round.id},
@@ -125,6 +127,7 @@ void CohortManager::seal_locked(std::uint8_t device_class,
   std::sort(round.roster.begin(), round.roster.end());
   for (std::uint64_t id : round.roster) assignment_[id] = round.id;
   ++sealed_;
+  ++changes_;
   ++rounds_sealed_c_;
   if (config_.trace)
     config_.trace->event("secagg_round_sealed",
@@ -197,6 +200,7 @@ net::SecAggAssignMessage CohortManager::handle_assign(
   if (now - waiter->since_ms >= config_.round_timeout_ms &&
       waiters.size() < config_.min_survivors) {
     waiters.erase(waiter);
+    ++changes_;
     resp.status = net::kSecAggAssignFallback;
     return resp;
   }
@@ -375,6 +379,7 @@ void CohortManager::complete_locked(Round& round) {
 
 void CohortManager::resolve_locked(Round& round, Round::State terminal) {
   round.state = terminal;
+  ++changes_;
   for (std::uint64_t id : round.roster) {
     const auto it = assignment_.find(id);
     if (it != assignment_.end() && it->second == round.id)
@@ -400,6 +405,27 @@ void CohortManager::prune_locked() {
       break;  // never drop a live round
     rounds_.erase(oldest);
   }
+}
+
+std::uint64_t CohortManager::changes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return changes_;
+}
+
+std::int64_t CohortManager::ms_until_next_deadline() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::int64_t next = std::numeric_limits<std::int64_t>::max();
+  const auto consider = [&](std::int64_t deadline) {
+    if (deadline > last_tick_ms_) next = std::min(next, deadline);
+  };
+  for (const auto& [id, round] : rounds_)
+    if (round.state == Round::kCollecting || round.state == Round::kRecovering)
+      consider(round.deadline_ms);
+  for (const auto& [cls, waiters] : forming_)
+    for (const Waiter& w : waiters)
+      consider(w.since_ms + config_.round_timeout_ms);
+  if (next == std::numeric_limits<std::int64_t>::max()) return -1;
+  return std::max<std::int64_t>(0, next - now_ms());
 }
 
 long long CohortManager::rounds_sealed() const {

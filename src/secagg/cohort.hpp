@@ -16,10 +16,15 @@
 // round aborts and the devices fall back to classic per-device LDP
 // checkins — privacy never silently degrades.
 //
-// The manager is pull-driven: there is no timer thread. Every handler
-// calls tick() first, so rounds progress whenever any secagg frame
-// arrives, and tests drive the clock explicitly via set_clock(). The
-// completed round is applied through the `apply` callback as a single
+// The manager owns no thread and no timer. Every handler calls tick()
+// first, so deadlines are acted on whenever a request is handled, and
+// tests drive the clock explicitly via set_clock(). Over the serving
+// engine, requests whose answer is not ready (a pending assign, a
+// collecting status poll) are held by the applier and asked again when
+// changes() moves or ms_until_next_deadline() runs out, so a device
+// hears the answer as soon as it exists instead of polling on a timer
+// (engine/applier.hpp). In-process callers poll with retry_after_ms.
+// The completed round is applied through the `apply` callback as a single
 // synthetic net::CheckinMessage (device_id = kCohortDeviceIdBase |
 // round_id), so the engine's applier WALs it as an ordinary checkin
 // record and recovery semantics are unchanged.
@@ -30,6 +35,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <unordered_map>
@@ -51,7 +57,10 @@ struct CohortConfig {
   std::size_t cohort_size = 8;     ///< --secagg-cohort
   std::size_t min_survivors = 2;   ///< --secagg-min-survivors (>= 2)
   std::int64_t round_timeout_ms = 2000;  ///< collect + reveal deadlines
-  /// Retry hint on pending/collecting responses.
+  /// Retry hint on pending/collecting responses. Over the serving engine
+  /// those are held until ready, so the hint only reaches in-process
+  /// callers and requests the engine answers unready (past its park cap,
+  /// or at shutdown).
   std::uint32_t poll_retry_ms = 50;
   /// The cohort record's expected shapes (validated per submission so a
   /// malformed blob cannot poison a sum).
@@ -91,6 +100,19 @@ class CohortManager {
 
   /// Advance round deadlines (called internally by every handler).
   void tick();
+
+  /// Bumped by every transition that can change the answer to an
+  /// assign or status request: a seal, a round moving to recovering,
+  /// completing or aborting, a waiter told to fall back. A request that
+  /// got a pending or collecting answer need not be asked again until
+  /// this moves or the next deadline passes.
+  std::uint64_t changes() const;
+
+  /// Milliseconds (on the manager's clock) until the earliest deadline
+  /// not yet passed at the last tick — a live round's collect or reveal
+  /// deadline, or a forming waiter's timeout; 0 when it is due now, -1
+  /// when there is none.
+  std::int64_t ms_until_next_deadline() const;
 
   // Introspection (tests, the bench's JSON, the portal report).
   long long rounds_sealed() const;
@@ -139,6 +161,9 @@ class CohortManager {
   std::map<std::uint64_t, Round> rounds_;  // ordered: oldest first
   std::unordered_map<std::uint64_t, std::uint64_t> assignment_;
   std::uint64_t next_round_id_ = 1;
+  std::uint64_t changes_ = 0;
+  /// Clock reading of the last tick; deadlines at or before it are done.
+  std::int64_t last_tick_ms_ = std::numeric_limits<std::int64_t>::min();
   long long sealed_ = 0;
   long long completed_ = 0;
   long long recovered_ = 0;

@@ -1001,16 +1001,23 @@ TEST(SecAggDropout, CohortOfEightRecoversFromTwoMidRoundDeaths) {
 
   // A dying device's exchange delivers checkout and assign frames but
   // drops its masked submission on the floor — death mid-round.
+  std::atomic<int> dropped{0};
   auto dying_exchange = [&]() -> core::DeviceClient::Exchange {
-    return [this_h = &h](const net::Bytes& req) -> std::optional<net::Bytes> {
+    return [this_h = &h, &dropped](const net::Bytes& req)
+               -> std::optional<net::Bytes> {
       const net::Frame f = net::decode_frame(req);
-      if (f.type == net::MessageType::kSecAggMasked) return std::nullopt;
+      if (f.type == net::MessageType::kSecAggMasked) {
+        ++dropped;
+        return std::nullopt;
+      }
       return this_h->protocol.handle(req);
     };
   };
 
   auto opts = h.options();
-  opts.max_polls = 1000000;
+  // A healthy run polls a handful of times per device; the budget bounds
+  // a stuck device to about a second instead of letting it spin.
+  opts.max_polls = 1000;
   opts.sleep_ms = [](std::uint32_t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
@@ -1026,12 +1033,17 @@ TEST(SecAggDropout, CohortOfEightRecoversFromTwoMidRoundDeaths) {
   for (int i = 0; i < kDevices; ++i) samples.push_back(h.sample(eng));
 
   // Advance the manual clock exactly once, after all six survivors have
-  // submitted: the round deterministically moves to recovery, and the
-  // recovery deadline then never expires under the survivors.
+  // submitted and both dying devices have picked up the roster (their
+  // submissions hit the floor): the round deterministically moves to
+  // recovery, and the recovery deadline then never expires under the
+  // survivors. A dying device still polling for its roster when the
+  // clock moved would find its round gone, wait as a new forming waiter
+  // on a clock that never moves again, and poll until its budget ran out.
   std::atomic<bool> stop{false};
   std::thread clock_driver([&] {
     while (!stop.load()) {
-      if (h.mgr->masked_checkins() >= kDevices - kDead) {
+      if (h.mgr->masked_checkins() >= kDevices - kDead &&
+          dropped.load() >= kDead) {
         h.clock += h.cfg.round_timeout_ms + 1;
         return;
       }
@@ -1089,17 +1101,24 @@ TEST(SecAggDropout, AbortBelowMinSurvivorsFallsBackToClassic) {
     devices.back()->set_credentials(h.registry.enroll());
   }
 
+  std::atomic<int> dropped{0};
   auto dying_exchange = [&]() -> core::DeviceClient::Exchange {
-    return [this_h = &h](const net::Bytes& req) -> std::optional<net::Bytes> {
+    return [this_h = &h, &dropped](const net::Bytes& req)
+               -> std::optional<net::Bytes> {
       const net::Frame f = net::decode_frame(req);
-      if (f.type == net::MessageType::kSecAggMasked) return std::nullopt;
+      if (f.type == net::MessageType::kSecAggMasked) {
+        ++dropped;
+        return std::nullopt;
+      }
       return this_h->protocol.handle(req);
     };
   };
 
   std::atomic<int> fallback_events{0};
   auto opts = h.options();
-  opts.max_polls = 1000000;
+  // A healthy run polls a handful of times per device; the budget bounds
+  // a stuck device to about a second instead of letting it spin.
+  opts.max_polls = 1000;
   opts.sleep_ms = [](std::uint32_t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
@@ -1115,10 +1134,12 @@ TEST(SecAggDropout, AbortBelowMinSurvivorsFallsBackToClassic) {
   std::vector<models::Sample> samples;
   for (int i = 0; i < kDevices; ++i) samples.push_back(h.sample(eng));
 
+  // As above: move the clock only once every device holds the roster.
   std::atomic<bool> stop{false};
   std::thread clock_driver([&] {
     while (!stop.load()) {
-      if (h.mgr->masked_checkins() >= kDevices - kDead) {
+      if (h.mgr->masked_checkins() >= kDevices - kDead &&
+          dropped.load() >= kDead) {
         h.clock += h.cfg.round_timeout_ms + 1;
         return;
       }
