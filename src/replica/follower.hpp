@@ -167,9 +167,6 @@ class Follower {
   /// is not running (before start() / after shutdown()); while running,
   /// use compact() and the counters instead.
   store::DurableStore& store() { return *store_; }
-  const store::DurableStore::RecoveryInfo& recovery_info() const {
-    return recovery_;
-  }
 
  private:
   /// Why serve_connection returned: reconnect and keep following, stop

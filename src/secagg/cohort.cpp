@@ -259,9 +259,16 @@ net::SecAggRevealMessage CohortManager::handle_reveal(
 
   const auto rit = rounds_.find(req.round_id);
   if (rit == rounds_.end()) {
-    // Pruned or never existed. Aborted is the safe answer: the device
-    // re-releases with full LDP noise and charges its budget for it.
-    resp.status = net::kSecAggRoundAborted;
+    // Round ids are sequential, so an id below next_round_id_ was pruned,
+    // and only resolved rounds are pruned. A pruned round that completed
+    // must read complete: a device told aborted re-releases its batch
+    // classically, and the batch would apply twice. Aborted is the answer
+    // for pruned aborted rounds and for ids that never existed: the
+    // device re-releases with full LDP noise and charges its budget.
+    const bool pruned = req.round_id >= 1 && req.round_id < next_round_id_;
+    resp.status = pruned && !pruned_aborted_.count(req.round_id)
+                      ? net::kSecAggRoundComplete
+                      : net::kSecAggRoundAborted;
     return resp;
   }
   Round& round = rit->second;
@@ -403,6 +410,8 @@ void CohortManager::prune_locked() {
     if (oldest->second.state == Round::kCollecting ||
         oldest->second.state == Round::kRecovering)
       break;  // never drop a live round
+    if (oldest->second.state == Round::kAborted)
+      pruned_aborted_.insert(oldest->first);
     rounds_.erase(oldest);
   }
 }

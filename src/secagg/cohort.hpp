@@ -38,6 +38,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -66,7 +67,8 @@ struct CohortConfig {
   /// malformed blob cannot poison a sum).
   std::size_t param_dim = 0;
   std::size_t num_classes = 0;
-  /// Resolved rounds retained for late status polls before pruning.
+  /// Resolved rounds retained in full before pruning; a late status poll
+  /// for a pruned round still reads its outcome (complete or aborted).
   std::size_t rounds_retained = 64;
   obs::MetricsRegistry* metrics = nullptr;  ///< null = default registry
   obs::TraceSink* trace = nullptr;
@@ -159,6 +161,8 @@ class CohortManager {
   /// One forming queue per declared device class (FIFO within a class).
   std::map<std::uint8_t, std::vector<Waiter>> forming_;
   std::map<std::uint64_t, Round> rounds_;  // ordered: oldest first
+  /// Ids of pruned rounds that aborted; every other pruned id completed.
+  std::set<std::uint64_t> pruned_aborted_;
   std::unordered_map<std::uint64_t, std::uint64_t> assignment_;
   std::uint64_t next_round_id_ = 1;
   std::uint64_t changes_ = 0;

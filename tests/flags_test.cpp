@@ -283,3 +283,69 @@ TEST(CoordFlags, NumericBoundsEnforced) {
   EXPECT_FALSE(with("--coord-init-rate=fast").error.empty());
   EXPECT_FALSE(with("--coord-min-hint-ms=ten").error.empty());
 }
+
+// ------------------------------------------------------ server flags
+
+namespace {
+
+// The refusal for a crowdml-server command line ("" when valid).
+std::string server_refusal(std::vector<std::string> args) {
+  try {
+    crowdml::tools::parse_server_flags(parse(std::move(args)));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(ServerFlags, MalformedNumberNamesTheFlag) {
+  EXPECT_EQ(server_refusal({"--port", "abc"}),
+            "--port: expected an integer, got 'abc'");
+  EXPECT_EQ(server_refusal({"--port=80x"}),
+            "--port: expected an integer, got '80x'");
+  EXPECT_EQ(server_refusal({"--lr=fast"}),
+            "--lr: expected a number, got 'fast'");
+  EXPECT_EQ(server_refusal({"--lease-ms=1s", "--repl-ack=async",
+                            "--wal-dir=wal"}),
+            "--lease-ms: expected an integer, got '1s'");
+}
+
+TEST(ServerFlags, PortsOutsideSixteenBitsRefused) {
+  // A uint16 cast would quietly bind 70000 - 65536 = 4464.
+  EXPECT_EQ(server_refusal({"--port=70000"}),
+            "--port: must be in 0..65535, got 70000");
+  EXPECT_EQ(server_refusal({"--port=-1"}),
+            "--port: must be in 0..65535, got -1");
+  EXPECT_EQ(server_refusal({"--repl-port=70001", "--wal-dir=wal"}),
+            "--repl-port: must be in 0..65535, got 70001");
+  EXPECT_EQ(server_refusal({"--role=follower", "--leader-addr=h:1",
+                            "--wal-dir=replica", "--election-timeout-ms=500",
+                            "--vote-port=65536"}),
+            "--vote-port: must be in 0..65535, got 65536");
+  EXPECT_EQ(server_refusal({"--port=65535"}), "");
+  EXPECT_EQ(server_refusal({"--port=0"}), "");
+}
+
+TEST(ServerFlags, CountsBelowOneRefused) {
+  // --io-threads 0 used to print io-threads=0 while the engine ran 1.
+  for (const char* flag : {"io-threads", "checkin-queue-max",
+                           "model-instances", "segment-max-bytes"}) {
+    EXPECT_EQ(server_refusal({std::string("--") + flag + "=0"}),
+              std::string("--") + flag + ": must be >= 1, got 0");
+    EXPECT_EQ(server_refusal({std::string("--") + flag + "=-3"}),
+              std::string("--") + flag + ": must be >= 1, got -3");
+  }
+  const auto cfg = crowdml::tools::parse_server_flags(
+      parse({"--io-threads=2", "--model-instances=4"}));
+  EXPECT_EQ(cfg.io_threads, 2u);
+  EXPECT_EQ(cfg.model_instances, 4u);
+}
+
+TEST(ServerFlags, BundleRefusalsPassThrough) {
+  EXPECT_EQ(server_refusal({"--role=observer"}),
+            "unknown --role observer (leader|follower)");
+  EXPECT_EQ(server_refusal({"--secagg-cohort=1"}),
+            "--secagg-cohort must be >= 2 (a cohort of one is just LDP)");
+}

@@ -557,6 +557,37 @@ TEST(SecAggCohort, PrunedRoundPollsReadAborted) {
   EXPECT_EQ(rig.poll(1, /*round=*/999).status, net::kSecAggRoundAborted);
 }
 
+TEST(SecAggCohort, PrunedCompletedRoundPollsReadComplete) {
+  // A device that polls after its round was pruned must read the round's
+  // outcome: "aborted" for a completed round would make it re-release its
+  // batch classically, applying the batch twice.
+  ManagerRig rig(/*cohort=*/2);
+  const auto run_round = [&rig](bool complete) {
+    rig.assign(1);
+    const auto sealed = rig.assign(2);
+    const std::uint64_t r = sealed.round_id;
+    if (complete) {
+      for (std::uint64_t d : sealed.roster)
+        rig.mgr->handle_masked(
+            rig.masked(d, r, sealed.roster, {1.0, 0.0, 0.0}, 0, {1, 0}, 1));
+    } else {
+      rig.clock += rig.cfg.round_timeout_ms + 1;
+    }
+    EXPECT_EQ(rig.poll(1, r).status, complete ? net::kSecAggRoundComplete
+                                              : net::kSecAggRoundAborted);
+    return r;
+  };
+  const std::uint64_t first = run_round(true);
+  const std::uint64_t aborted = run_round(false);
+  for (std::size_t i = 0; i < rig.cfg.rounds_retained; ++i) run_round(true);
+  ASSERT_EQ(rig.mgr->rounds_completed(),
+            static_cast<long long>(rig.cfg.rounds_retained) + 1);
+
+  EXPECT_EQ(rig.poll(1, first).status, net::kSecAggRoundComplete);
+  EXPECT_EQ(rig.poll(1, aborted).status, net::kSecAggRoundAborted);
+  EXPECT_EQ(rig.applied.size(), rig.cfg.rounds_retained + 1);
+}
+
 TEST(SecAggCohort, CohortsFormPerDeviceClass) {
   // Classes never share a cohort: a fast-class device waiting next to a
   // slow-class device must not be sealed into its round, or the

@@ -9,8 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "coord/device_class.hpp"
-#include "shard/shard_map.hpp"
+#include "node/config.hpp"
 
 namespace crowdml::tools {
 
@@ -40,14 +39,20 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
+  /// The whole value must parse; a malformed or out-of-range number
+  /// throws std::invalid_argument("--name: ...").
   long long get_int(const std::string& name, long long fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::stoll(it->second);
+    return get_number(name, fallback, "an integer",
+                      [](const std::string& v, std::size_t* n) {
+                        return std::stoll(v, n);
+                      });
   }
 
   double get_double(const std::string& name, double fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    return get_number(name, fallback, "a number",
+                      [](const std::string& v, std::size_t* n) {
+                        return std::stod(v, n);
+                      });
   }
 
   bool get_bool(const std::string& name, bool fallback = false) const {
@@ -57,8 +62,46 @@ class Flags {
   }
 
  private:
+  template <class T, class Parse>
+  T get_number(const std::string& name, T fallback, const char* expected,
+               Parse parse) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return fallback;
+    std::size_t used = 0;
+    T value{};
+    try {
+      value = parse(it->second, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    if (used == 0 || used != it->second.size())
+      throw std::invalid_argument("--" + name + ": expected " + expected +
+                                  ", got '" + it->second + "'");
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
 };
+
+/// A port flag: 0 (ephemeral) through 65535; anything else throws.
+inline std::uint16_t get_port(const Flags& flags, const std::string& name) {
+  const long long port = flags.get_int(name, 0);
+  if (port < 0 || port > 65535)
+    throw std::invalid_argument("--" + name + ": must be in 0..65535, got " +
+                                std::to_string(port));
+  return static_cast<std::uint16_t>(port);
+}
+
+/// A count flag that must be at least 1; anything else throws.
+inline std::size_t get_count(const Flags& flags, const std::string& name,
+                             std::size_t fallback) {
+  const long long n =
+      flags.get_int(name, static_cast<long long>(fallback));
+  if (n < 1)
+    throw std::invalid_argument("--" + name + ": must be >= 1, got " +
+                                std::to_string(n));
+  return static_cast<std::size_t>(n);
+}
 
 /// Replication role flags for crowdml-server, validated as a unit (the
 /// combinations are easy to get wrong; see docs/REPLICATION.md):
@@ -83,26 +126,7 @@ class Flags {
 ///                                    127.0.0.1 suits single-host tests
 ///                                    only)
 /// `error` is non-empty when the combination is invalid.
-struct ReplicaFlags {
-  std::string role = "leader";
-  std::string leader_host;
-  std::uint16_t leader_port = 0;
-  std::string leader_addr;  ///< the raw host:port, for redirect nacks
-  std::string ack_mode = "none";
-  std::string epoch_dir;
-  long long followers = 2;
-  bool promote_on_start = false;
-  /// True when this leader runs a replication plane at all (a
-  /// --repl-port was given or an ack mode other than none requested).
-  bool repl_enabled = false;
-  std::uint16_t repl_port = 0;
-  long long lease_ms = 1000;
-  long long election_timeout_ms = 0;
-  std::string peers;
-  std::uint16_t vote_port = 0;
-  long long max_read_lag = 0;
-  std::string repl_key_file;
-  std::string advertise_host = "127.0.0.1";
+struct ReplicaFlags : node::ReplicationSettings {
   std::string error;
 };
 
@@ -113,12 +137,12 @@ inline ReplicaFlags parse_replica_flags(const Flags& flags) {
   r.epoch_dir = flags.get("epoch-dir", "");
   r.followers = flags.get_int("repl-followers", 2);
   r.promote_on_start = flags.get_bool("promote-on-start");
-  r.repl_port = static_cast<std::uint16_t>(flags.get_int("repl-port", 0));
+  r.repl_port = get_port(flags, "repl-port");
   r.leader_addr = flags.get("leader-addr", "");
   r.lease_ms = flags.get_int("lease-ms", 1000);
   r.election_timeout_ms = flags.get_int("election-timeout-ms", 0);
   r.peers = flags.get("peers", "");
-  r.vote_port = static_cast<std::uint16_t>(flags.get_int("vote-port", 0));
+  r.vote_port = get_port(flags, "vote-port");
   r.max_read_lag = flags.get_int("max-read-lag", 0);
   r.repl_key_file = flags.get("repl-key-file", "");
   r.advertise_host = flags.get("advertise-host", "127.0.0.1");
@@ -250,14 +274,8 @@ inline ReplicaFlags parse_replica_flags(const Flags& flags) {
 /// Coordinator (k independent per-class pacing clocks — the clock must
 /// live where the commits it measures happen; see docs/SCALING.md).
 /// `error` is non-empty when the combination is invalid.
-struct CoordFlags {
-  bool enabled = false;
+struct CoordFlags : node::SteeringSettings {
   std::string classes_spec;
-  coord::DeviceClassTable classes;  ///< parsed table (default when empty)
-  double target_utilization = 0.7;
-  long long min_hint_ms = 5;
-  long long max_hint_ms = 30'000;
-  double init_rate = 2000.0;
   std::string error;
 };
 
@@ -336,12 +354,7 @@ inline CoordFlags parse_coord_flags(const Flags& flags) {
 ///                                 the server must NOT be given it)
 /// Every other --secagg-* flag requires --secagg-cohort. `error` is
 /// non-empty when the combination is invalid.
-struct SecAggFlags {
-  bool enabled = false;
-  long long cohort = 0;
-  long long min_survivors = 2;
-  long long round_timeout_ms = 2000;
-  std::string key_file;
+struct SecAggFlags : node::SecAggSettings {
   std::string error;
 };
 
@@ -401,11 +414,7 @@ inline SecAggFlags parse_secagg_flags(const Flags& flags) {
 /// (a shard leader is the plain single-applier stack), and --wal-dir
 /// (the merge plane's "acked => durable" rides the WAL). `error` is
 /// non-empty when the combination is invalid.
-struct ShardFlags {
-  bool enabled = false;
-  std::size_t shard_id = 0;
-  shard::ShardMap map;
-  long long merge_ms = 0;
+struct ShardFlags : node::ShardSettings {
   std::string error;
 };
 
@@ -479,6 +488,84 @@ inline ShardFlags parse_shard_flags(const Flags& flags) {
     return s;
   }
   return s;
+}
+
+/// Every crowdml-server flag, parsed into `cfg`; the flag bundles above
+/// cover replication, steering, secure aggregation and sharding. The
+/// rest:
+///   --port N                     device port (0 = ephemeral)
+///   --classes N --dim N          problem shape (default 10 x 50)
+///   --updater sgd|adagrad|momentum|dualavg   (default sgd)
+///   --lr F --radius F            step size and projection radius (50, 500)
+///   --max-iterations N           stop after N updates (-1 = never)
+///   --target-error F             stop at this error estimate (-1 = off)
+///   --seed N                     server RNG (pool instances split it)
+///   --auth-seed N --enroll N     pre-enroll N devices from this seed
+///   --keys-out PATH              their "device_id,hex_key" rows
+///                                (default device_keys.csv)
+///   --checkpoint PATH            load, then save at every report
+///   --wal-dir DIR                durable store: WAL + atomic snapshots,
+///                                recovered on start (docs/DURABILITY.md)
+///   --fsync always|never|every-N WAL durability (default every-64)
+///   --segment-max-bytes N        WAL segment rotation size (>= 1)
+///   --force-fresh                set unreadable state aside instead of
+///                                refusing to start
+///   --model-instances K          draw-and-discard pool of K instances,
+///                                each with its own applier and WAL stream
+///                                (K = 1 is the single-applier path;
+///                                docs/SCALING.md)
+///   --io-threads N               I/O event loops (>= 1)
+///   --checkin-queue-max N        admission bound; a full queue sheds
+///                                with a retry_after nack (>= 1)
+///   --follower-id N              follower: its id in leader traces
+///   --report-every SECONDS       portal report, compaction and metrics
+///                                (default 10)
+///   --metrics-out PATH           Prometheus text, rewritten per report
+///   --trace-out PATH             protocol lifecycle events (JSONL)
+/// Throws std::invalid_argument carrying the first refusal.
+inline node::NodeConfig parse_server_flags(const Flags& flags) {
+  node::NodeConfig cfg;
+  const ReplicaFlags repl = parse_replica_flags(flags);
+  if (!repl.error.empty()) throw std::invalid_argument(repl.error);
+  const CoordFlags coord = parse_coord_flags(flags);
+  if (!coord.error.empty()) throw std::invalid_argument(coord.error);
+  const SecAggFlags secagg = parse_secagg_flags(flags);
+  if (!secagg.error.empty()) throw std::invalid_argument(secagg.error);
+  const ShardFlags shard = parse_shard_flags(flags);
+  if (!shard.error.empty()) throw std::invalid_argument(shard.error);
+  cfg.repl = repl;
+  cfg.coord = coord;
+  cfg.secagg = secagg;
+  cfg.shard = shard;
+
+  cfg.port = get_port(flags, "port");
+  cfg.classes = static_cast<std::size_t>(flags.get_int("classes", cfg.classes));
+  cfg.dim = static_cast<std::size_t>(flags.get_int("dim", cfg.dim));
+  cfg.updater = flags.get("updater", cfg.updater);
+  cfg.lr = flags.get_double("lr", cfg.lr);
+  cfg.radius = flags.get_double("radius", cfg.radius);
+  cfg.max_iterations = flags.get_int("max-iterations", cfg.max_iterations);
+  cfg.target_error = flags.get_double("target-error", cfg.target_error);
+  cfg.seed = flags.get_int("seed", cfg.seed);
+  cfg.auth_seed = flags.get_int("auth-seed", cfg.auth_seed);
+  cfg.enroll = flags.get_int("enroll", cfg.enroll);
+  cfg.keys_out = flags.get("keys-out", cfg.keys_out);
+  cfg.checkpoint = flags.get("checkpoint", cfg.checkpoint);
+  cfg.wal_dir = flags.get("wal-dir", cfg.wal_dir);
+  cfg.fsync = flags.get("fsync", cfg.fsync);
+  cfg.segment_max_bytes =
+      get_count(flags, "segment-max-bytes", cfg.segment_max_bytes);
+  cfg.force_fresh = flags.get_bool("force-fresh");
+  cfg.io_threads = get_count(flags, "io-threads", cfg.io_threads);
+  cfg.checkin_queue_max =
+      get_count(flags, "checkin-queue-max", cfg.checkin_queue_max);
+  cfg.model_instances =
+      get_count(flags, "model-instances", cfg.model_instances);
+  cfg.follower_id = flags.get_int("follower-id", cfg.follower_id);
+  cfg.report_every_s = flags.get_double("report-every", cfg.report_every_s);
+  cfg.metrics_out = flags.get("metrics-out", cfg.metrics_out);
+  cfg.trace_out = flags.get("trace-out", cfg.trace_out);
+  return cfg;
 }
 
 }  // namespace crowdml::tools
