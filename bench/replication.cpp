@@ -519,6 +519,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\n  \"bench\": \"replication\",\n  \"scale\": %g,\n"
+                 "  \"host\": %s,\n"
                  "  \"followers\": %zu,\n  \"checkins_logged\": %llu,\n"
                  "  \"checkout_throughput\": {\n"
                  "    \"leader_solo_per_s\": %.0f,\n"
@@ -528,7 +529,7 @@ int main(int argc, char** argv) {
                  "    \"projected_scaling_x\": %.2f,\n"
                  "    \"same_host_concurrent_per_s\": %.0f\n  },\n"
                  "  \"replication_lag_ms\": [\n",
-                 o.scale, nodes.size(),
+                 o.scale, bench::host_facts_json().c_str(), nodes.size(),
                  static_cast<unsigned long long>(logged), solo[0], solo[1],
                  solo[2], projected, scaling, same_host);
     for (std::size_t i = 0; i < lag_pcts.size(); ++i)

@@ -65,6 +65,11 @@ LogShipper::LogShipper(core::Server& server, store::DurableStore& store,
           "crowdml_repl_auth_failed_total",
           "Replication-plane frames dropped for a missing or invalid "
           "HMAC tag",
+          obs::Provenance::kTransportEvent)),
+      wal_read_bytes_(registry_of(opts_).counter(
+          "crowdml_repl_wal_read_bytes_total",
+          "Bytes follower sessions read from WAL segment files to build "
+          "batches",
           obs::Provenance::kTransportEvent)) {
   auto listener = net::TcpListener::bind(opts_.bind_address, opts_.port);
   if (!listener)
@@ -347,6 +352,10 @@ void LogShipper::session_loop(std::uint64_t session_id,
                           {"epoch", hello.epoch}});
 
     std::uint64_t cursor = hello.last_seq;
+    // Where this session's last batch ended in the WAL: batches resume
+    // there instead of rescanning the segment (a snapshot moves `cursor`
+    // off it, and the next read falls back to a scan).
+    store::WalReadPos read_pos;
     bool alive = true;
     if (!maybe_heartbeat()) break;
 
@@ -385,9 +394,13 @@ void LogShipper::session_loop(std::uint64_t session_id,
         std::lock_guard<std::mutex> lock(watermark_mu_);
         watermark = watermark_;
       }
-      const ShipBatch batch =
+      const std::uint64_t read_before = read_pos.bytes_read;
+      ShipBatch batch =
           next_ship_batch(store_.dir(), cursor, watermark,
-                          opts_.batch_max_records, opts_.batch_max_bytes);
+                          opts_.batch_max_records, opts_.batch_max_bytes,
+                          &read_pos);
+      wal_read_bytes_ +=
+          static_cast<long long>(read_pos.bytes_read - read_before);
 
       if (batch.gap) {
         // Compaction already pruned cursor+1: ship the full state in
@@ -436,8 +449,8 @@ void LogShipper::session_loop(std::uint64_t session_id,
         append.want_ack = want_ack;
         append.instance_id = opts_.instance_id;
         append.records.reserve(batch.records.size());
-        for (const auto& rec : batch.records)
-          append.records.push_back({rec.seq, rec.payload});
+        for (auto& rec : batch.records)
+          append.records.push_back({rec.seq, std::move(rec.payload)});
         if (!conn.send_frame(net::encode_frame(
                 net::MessageType::kReplAppend,
                 seal_repl_payload(opts_.key, net::MessageType::kReplAppend,

@@ -2,7 +2,9 @@
 // dedicated replication port and streams the durable store's log to each
 // of them — segments first (the disk is the replication buffer; there is
 // no in-memory queue to overflow), then the live tail as group commits
-// land. Every frame carries the leader's epoch; a hello or ack bearing a
+// land. Each session keeps its own read position in the log, so a batch
+// reads only the records it ships rather than rescanning the active
+// segment. Every frame carries the leader's epoch; a hello or ack bearing a
 // higher epoch means this leader has been superseded and it fences
 // itself: no further quorum waits succeed, so no checkin acked here can
 // contradict the new leader's history. See docs/REPLICATION.md.
@@ -174,6 +176,7 @@ class LogShipper {
   obs::Counter& followers_connected_;
   obs::Counter& heartbeats_sent_;
   obs::Counter& auth_failed_;
+  obs::Counter& wal_read_bytes_;
 };
 
 }  // namespace crowdml::replica

@@ -98,21 +98,14 @@ std::optional<ReplAckMode> parse_repl_ack_mode(const std::string& name) {
 
 ShipBatch next_ship_batch(const std::string& wal_dir, std::uint64_t cursor,
                           std::uint64_t watermark, std::size_t max_records,
-                          std::size_t max_bytes) {
+                          std::size_t max_bytes, store::WalReadPos* pos) {
   ShipBatch batch;
   if (cursor >= watermark) return batch;
-  bool gap = false;
-  std::vector<store::WalRecord> records =
-      store::read_wal_records(wal_dir, cursor, max_records, &gap);
-  batch.gap = gap;
-  if (gap) return batch;
-  std::size_t bytes = 0;
-  for (auto& rec : records) {
-    if (rec.seq > watermark) break;  // possibly mid-commit; not ours yet
-    bytes += rec.payload.size();
-    if (!batch.records.empty() && bytes > max_bytes) break;
-    batch.records.push_back(std::move(rec));
-  }
+  store::WalReadLimits limits;
+  limits.through_seq = watermark;  // past it: possibly mid-commit
+  limits.max_payload_bytes = max_bytes;
+  batch.records = store::read_wal_records(wal_dir, cursor, max_records,
+                                          &batch.gap, pos, limits);
   return batch;
 }
 

@@ -1,6 +1,7 @@
 // Shared pieces of the replication plane: ack-mode parsing, the
-// shipper's batch reader over the WAL, and the per-follower ack tracker
-// that backs quorum waits. See docs/REPLICATION.md.
+// shipper's batch reader over the WAL (resuming at each session's read
+// position), and the per-follower ack tracker that backs quorum waits.
+// See docs/REPLICATION.md.
 #pragma once
 
 #include <condition_variable>
@@ -69,10 +70,14 @@ struct ShipBatch {
 /// at the first record that would push the batch past `max_bytes`
 /// (always keeping at least one so progress is guaranteed). The
 /// watermark is the leader's committed position — records past it may
-/// still be mid-group-commit and must not ship yet.
+/// still be mid-group-commit and must not ship yet. `pos` is the
+/// session's read position (null = scan every time): when it sits at
+/// `cursor`, the read resumes there instead of rescanning the segment
+/// (store::read_wal_records has the fallback rules).
 ShipBatch next_ship_batch(const std::string& wal_dir, std::uint64_t cursor,
                           std::uint64_t watermark, std::size_t max_records,
-                          std::size_t max_bytes);
+                          std::size_t max_bytes,
+                          store::WalReadPos* pos = nullptr);
 
 /// Tracks each live follower session's durably-acked WAL position and
 /// lets the applier thread block until a quorum of them passes a seq.

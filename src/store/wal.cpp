@@ -1,6 +1,7 @@
 #include "store/wal.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,20 +22,62 @@ constexpr std::uint32_t kWalMagic = 0x4C575243;  // "CRWL" little-endian
 constexpr std::size_t kWalHeaderSize = 4 + 8 + 4;  // magic + seq + len
 constexpr std::size_t kWalTrailerSize = 4;         // crc32
 
-std::uint32_t read_u32(const net::Bytes& b, std::size_t off) {
+std::uint32_t read_u32(const std::uint8_t* p) {
   std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(b[off + static_cast<std::size_t>(i)])
-         << (8 * i);
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
   return v;
 }
 
-std::uint64_t read_u64(const net::Bytes& b, std::size_t off) {
+std::uint64_t read_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(b[off + static_cast<std::size_t>(i)])
-         << (8 * i);
+  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   return v;
+}
+
+/// One record frame checked in place: magic, length and CRC verified,
+/// payload not copied.
+struct RecordView {
+  std::uint64_t seq = 0;
+  const std::uint8_t* payload = nullptr;
+  std::uint32_t payload_len = 0;
+  std::size_t size = 0;  ///< whole frame, header through CRC
+};
+
+enum class FrameCheck { kOk, kTruncated, kBad };
+
+/// Check the frame at the start of `p[0, avail)`. kTruncated means the
+/// bytes end inside the frame (an append in progress looks exactly like
+/// this); kBad means they can never become a valid record. `*why` names
+/// the failure.
+FrameCheck check_frame(const std::uint8_t* p, std::size_t avail,
+                       RecordView* view, const char** why) {
+  if (avail < kWalHeaderSize) {
+    *why = "wal record header truncated";
+    return FrameCheck::kTruncated;
+  }
+  if (read_u32(p) != kWalMagic) {
+    *why = "bad wal record magic";
+    return FrameCheck::kBad;
+  }
+  const std::uint32_t len = read_u32(p + 12);
+  if (len > net::kMaxFieldLength) {
+    *why = "wal record length too large";
+    return FrameCheck::kBad;
+  }
+  const std::size_t size = kWalHeaderSize + len + kWalTrailerSize;
+  if (avail < size) {
+    *why = "wal record body truncated";
+    return FrameCheck::kTruncated;
+  }
+  if (read_u32(p + kWalHeaderSize + len) != net::crc32(p + 4, 8 + 4 + len)) {
+    *why = "wal record crc mismatch";
+    return FrameCheck::kBad;
+  }
+  view->seq = read_u64(p + 4);
+  view->payload = p + kWalHeaderSize;
+  view->payload_len = len;
+  view->size = size;
+  return FrameCheck::kOk;
 }
 
 std::string segment_name(std::uint64_t first_seq) {
@@ -58,13 +101,11 @@ obs::MetricsRegistry& registry_of(const WalOptions& opts) {
 /// must be treated as mid-file corruption.
 bool later_record_decodes(const net::Bytes& bytes, std::size_t from) {
   for (std::size_t probe = from; probe + kWalHeaderSize + kWalTrailerSize <= bytes.size(); ++probe) {
-    if (read_u32(bytes, probe) != kWalMagic) continue;
-    std::size_t off = probe;
-    try {
-      (void)decode_wal_record(bytes, &off);
+    RecordView view;
+    const char* why = nullptr;
+    if (check_frame(bytes.data() + probe, bytes.size() - probe, &view, &why) ==
+        FrameCheck::kOk)
       return true;
-    } catch (const WalError&) {
-    }
   }
   return false;
 }
@@ -117,93 +158,227 @@ net::Bytes encode_wal_record(std::uint64_t seq, const net::Bytes& payload) {
 WalRecord decode_wal_record(const net::Bytes& buf, std::size_t* offset) {
   const std::size_t off = *offset;
   if (off > buf.size()) throw WalError("wal offset out of range");
-  const std::size_t avail = buf.size() - off;
-  if (avail < kWalHeaderSize) throw WalError("wal record header truncated");
-  if (read_u32(buf, off) != kWalMagic) throw WalError("bad wal record magic");
-  const std::uint64_t seq = read_u64(buf, off + 4);
-  const std::uint32_t len = read_u32(buf, off + 12);
-  if (len > net::kMaxFieldLength) throw WalError("wal record length too large");
-  if (avail < kWalHeaderSize + len + kWalTrailerSize)
-    throw WalError("wal record body truncated");
-  const std::uint32_t stated = read_u32(buf, off + kWalHeaderSize + len);
-  const std::uint32_t computed = net::crc32(buf.data() + off + 4, 8 + 4 + len);
-  if (stated != computed) throw WalError("wal record crc mismatch");
+  RecordView view;
+  const char* why = nullptr;
+  if (check_frame(buf.data() + off, buf.size() - off, &view, &why) !=
+      FrameCheck::kOk)
+    throw WalError(why);
   WalRecord rec;
-  rec.seq = seq;
-  rec.payload.assign(buf.begin() + static_cast<std::ptrdiff_t>(off + kWalHeaderSize),
-                     buf.begin() + static_cast<std::ptrdiff_t>(off + kWalHeaderSize + len));
-  *offset = off + kWalHeaderSize + len + kWalTrailerSize;
+  rec.seq = view.seq;
+  rec.payload.assign(view.payload, view.payload + view.payload_len);
+  *offset = off + view.size;
   return rec;
 }
 
+namespace {
+
+/// Read-ahead granularity of the tailing reader: a caught-up follower's
+/// read is bounded by the bytes left in the segment, a lagging one's by
+/// its batch plus at most one chunk.
+constexpr std::size_t kReadChunk = 64u << 10;
+
+bool is_segment_name(const std::string& name) {
+  return name.rfind("wal-", 0) == 0 && name.size() > 8 &&
+         name.compare(name.size() - 4, 4, ".log") == 0;
+}
+
+std::uint64_t segment_first_seq(const std::string& path) {
+  const std::string name = std::filesystem::path(path).filename().string();
+  return std::strtoull(name.c_str() + 4, nullptr, 10);
+}
+
+/// Segment files in `dir`, sorted — zero-padded names sort lexically in
+/// seq order. Empty when the directory cannot be listed.
+std::vector<std::string> list_segments(const std::string& dir) {
+  std::vector<std::string> files;
+  std::error_code ec;
+  std::filesystem::directory_iterator it(dir, ec), end;
+  if (ec) return {};
+  for (; it != end; it.increment(ec)) {
+    if (ec) return {};
+    if (is_segment_name(it->path().filename().string()))
+      files.push_back(it->path().string());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// Forward reader over one segment file from a byte offset: preads it
+/// in chunks and hands out frame-checked records, buffering only bytes
+/// not yet handed out. Counts every byte it reads into `*bytes_read`.
+class SegmentReader {
+ public:
+  enum class Step { kRecord, kEnd, kStop };
+
+  SegmentReader(int fd, std::uint64_t offset, std::uint64_t* bytes_read)
+      : fd_(fd), start_(offset), bytes_read_(bytes_read) {
+    struct stat st {};
+    size_ = ::fstat(fd_, &st) == 0 ? static_cast<std::uint64_t>(st.st_size) : 0;
+  }
+  ~SegmentReader() { ::close(fd_); }
+  SegmentReader(const SegmentReader&) = delete;
+  SegmentReader& operator=(const SegmentReader&) = delete;
+
+  /// kRecord: `*view` holds the next record (valid until the next call).
+  /// kEnd: the segment ends cleanly at a record boundary.
+  /// kStop: a partial record (append in progress), a bad frame or an
+  /// I/O error — nothing past here is believable yet.
+  Step next(RecordView* view) {
+    for (;;) {
+      const std::size_t avail = buf_.size() - head_;
+      const char* why = nullptr;
+      const FrameCheck c = check_frame(buf_.data() + head_, avail, view, &why);
+      if (c == FrameCheck::kOk) {
+        head_ += view->size;
+        return Step::kRecord;
+      }
+      if (c == FrameCheck::kBad) return Step::kStop;
+      const std::uint64_t end = start_ + buf_.size();
+      if (end >= size_) return avail == 0 ? Step::kEnd : Step::kStop;
+      // Whole frame when its length is known, else at least the header.
+      const std::size_t need =
+          avail >= kWalHeaderSize
+              ? kWalHeaderSize + read_u32(buf_.data() + head_ + 12) +
+                    kWalTrailerSize - avail
+              : kWalHeaderSize - avail;
+      if (!fill(std::min<std::uint64_t>(std::max(need, kReadChunk),
+                                        size_ - end)))
+        return Step::kStop;
+    }
+  }
+
+  /// File offset just past the last record handed out.
+  std::uint64_t offset() const { return start_ + head_; }
+
+ private:
+  bool fill(std::uint64_t want) {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+    start_ += head_;
+    head_ = 0;
+    const std::size_t old = buf_.size();
+    buf_.resize(old + static_cast<std::size_t>(want));
+    std::size_t got = 0;
+    while (got < want) {
+      const ssize_t n = ::pread(fd_, buf_.data() + old + got, want - got,
+                                static_cast<off_t>(start_ + old + got));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    buf_.resize(old + got);
+    if (bytes_read_) *bytes_read_ += got;
+    if (got < want) size_ = start_ + buf_.size();  // shrank under us
+    return got > 0;
+  }
+
+  int fd_;
+  std::uint64_t start_;  ///< file offset of buf_[0]
+  std::uint64_t size_ = 0;
+  std::uint64_t* bytes_read_;
+  net::Bytes buf_;
+  std::size_t head_ = 0;  ///< buf_[head_] is the next unread byte
+};
+
+}  // namespace
+
 std::vector<WalRecord> read_wal_records(const std::string& dir,
                                         std::uint64_t from_seq,
-                                        std::size_t max_records, bool* gap) {
+                                        std::size_t max_records, bool* gap,
+                                        WalReadPos* pos,
+                                        const WalReadLimits& limits) {
   if (gap) *gap = false;
   std::vector<WalRecord> out;
-  if (max_records == 0) return out;
+  if (max_records == 0 || from_seq >= limits.through_seq) return out;
+  std::uint64_t* bytes_read = pos ? &pos->bytes_read : nullptr;
 
-  std::vector<std::string> files;
-  {
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir, ec), end;
-    if (ec) return out;
-    for (; it != end; it.increment(ec)) {
-      if (ec) return out;
-      const std::string name = it->path().filename().string();
-      if (name.rfind("wal-", 0) == 0 && name.size() > 8 &&
-          name.compare(name.size() - 4, 4, ".log") == 0)
-        files.push_back(it->path().string());
+  // Resume at the caller's position when it sits just past from_seq and
+  // its segment still exists; otherwise scan from the segment whose name
+  // covers from_seq + 1. `later` lists the segments after the current
+  // one, filled from a directory listing only when one is needed.
+  std::string segment;
+  std::uint64_t offset = 0;
+  int fd = -1;
+  bool have_prev = false;  ///< `prev` holds the last record's seq
+  std::uint64_t prev = 0;
+  std::vector<std::string> later;
+  bool listed = false;
+  if (pos && !pos->segment.empty() && pos->seq == from_seq) {
+    fd = ::open(pos->segment.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd >= 0) {
+      segment = pos->segment;
+      offset = pos->offset;
+      have_prev = true;
+      prev = from_seq;
     }
   }
-  // Zero-padded names sort lexically in seq order, and each name carries
-  // its segment's first seq — whole segments at or below the cursor are
-  // skipped without reading them.
-  std::sort(files.begin(), files.end());
-  std::size_t start = 0;
-  for (std::size_t i = 1; i < files.size(); ++i) {
-    const std::string name = std::filesystem::path(files[i]).filename().string();
-    const std::uint64_t first =
-        std::strtoull(name.c_str() + 4, nullptr, 10);
-    if (first <= from_seq + 1) start = i;
+  if (fd < 0) {
+    later = list_segments(dir);
+    listed = true;
+    // Whole segments at or below the cursor are skipped unread.
+    std::size_t start = 0;
+    for (std::size_t i = 1; i < later.size(); ++i)
+      if (segment_first_seq(later[i]) <= from_seq + 1) start = i;
+    later.erase(later.begin(),
+                later.begin() + static_cast<std::ptrdiff_t>(start));
   }
 
-  bool decoded_any = false;
-  for (std::size_t i = start; i < files.size(); ++i) {
-    const std::string& path = files[i];
-    net::Bytes bytes;
-    {
-      std::FILE* f = std::fopen(path.c_str(), "rb");
-      if (!f) continue;  // compacted away between listing and open
-      std::fseek(f, 0, SEEK_END);
-      const long size = std::ftell(f);
-      std::fseek(f, 0, SEEK_SET);
-      bytes.resize(size > 0 ? static_cast<std::size_t>(size) : 0);
-      if (!bytes.empty() &&
-          std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-        std::fclose(f);
+  std::size_t payload_bytes = 0;
+  std::size_t next_later = 0;
+  for (;;) {
+    while (fd < 0) {
+      if (!listed) {
+        // The resumed segment ended: what follows is in newer segments.
+        const std::string current =
+            std::filesystem::path(segment).filename().string();
+        for (std::string& path : list_segments(dir))
+          if (std::filesystem::path(path).filename().string() > current)
+            later.push_back(std::move(path));
+        listed = true;
+      }
+      if (next_later >= later.size()) return out;
+      segment = later[next_later++];
+      offset = 0;
+      fd = ::open(segment.c_str(), O_RDONLY | O_CLOEXEC);
+      // A segment that fails to open was compacted away after the
+      // listing; the continuity check below catches what it held.
+    }
+    SegmentReader reader(fd, offset, bytes_read);
+    fd = -1;
+    RecordView view;
+    for (;;) {
+      const SegmentReader::Step step = reader.next(&view);
+      if (step == SegmentReader::Step::kEnd) break;
+      if (step == SegmentReader::Step::kStop) return out;
+      // Records must continue the cursor without a hole. A first record
+      // past from_seq + 1 means compaction pruned what the caller needs.
+      const bool continues =
+          have_prev ? view.seq == prev + 1 : view.seq <= from_seq + 1;
+      if (!continues) {
+        if (gap && out.empty() && view.seq > from_seq + 1) *gap = true;
         return out;
       }
-      std::fclose(f);
-    }
-    std::size_t offset = 0;
-    while (offset < bytes.size()) {
-      WalRecord rec;
-      try {
-        rec = decode_wal_record(bytes, &offset);
-      } catch (const WalError&) {
-        return out;  // a write in progress (or a torn tail): stop here
+      have_prev = true;
+      prev = view.seq;
+      if (view.seq > from_seq) {
+        if (view.seq > limits.through_seq) return out;
+        if (!out.empty() &&
+            payload_bytes + view.payload_len > limits.max_payload_bytes)
+          return out;
+        payload_bytes += view.payload_len;
+        WalRecord rec;
+        rec.seq = view.seq;
+        rec.payload.assign(view.payload, view.payload + view.payload_len);
+        out.push_back(std::move(rec));
       }
-      if (!decoded_any) {
-        decoded_any = true;
-        if (gap && rec.seq > from_seq + 1) *gap = true;
+      if (pos && view.seq >= from_seq) {
+        pos->segment = segment;
+        pos->offset = reader.offset();
+        pos->seq = view.seq;
       }
-      if (rec.seq <= from_seq) continue;
-      out.push_back(std::move(rec));
-      if (out.size() >= max_records) return out;
+      if (out.size() >= max_records || view.seq == limits.through_seq)
+        return out;
     }
   }
-  return out;
 }
 
 WriteAheadLog::WriteAheadLog(std::string dir, WalOptions options)
@@ -253,9 +428,7 @@ ReplayStats WriteAheadLog::open_and_replay(std::uint64_t from_seq,
 
   std::vector<std::string> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("wal-", 0) == 0 && name.size() > 8 &&
-        name.compare(name.size() - 4, 4, ".log") == 0)
+    if (is_segment_name(entry.path().filename().string()))
       files.push_back(entry.path().string());
   }
   // Zero-padded names sort lexically in seq order.

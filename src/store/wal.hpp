@@ -91,19 +91,59 @@ net::Bytes encode_wal_record(std::uint64_t seq, const net::Bytes& payload);
 /// knows the exact byte where the log stopped being believable.
 WalRecord decode_wal_record(const net::Bytes& buf, std::size_t* offset);
 
-/// Stateless read of up to `max_records` records with seq > from_seq from
-/// the segment files in `dir`, in seq order — the replication shipper's
-/// view of the log (the disk IS the replication buffer; nothing is queued
-/// in memory for slow followers). Safe to call while another thread
-/// appends: a partial record at the tail (an append in progress, or a
-/// torn tail recovery has not yet trimmed) ends the scan instead of
-/// throwing. Sets `*gap` (may be null) when the oldest surviving record
-/// already exceeds from_seq + 1 — compaction pruned history the caller
-/// needs, so it must catch up from a snapshot instead.
+/// A tailing reader's place in the log, kept by the caller between
+/// read_wal_records calls: the segment file holding record `seq` and the
+/// byte offset just past it. A reader that resumes from it reads only
+/// the bytes after its last record instead of rescanning the segment.
+struct WalReadPos {
+  std::string segment;       ///< segment path; "" until a read sets it
+  std::uint64_t offset = 0;  ///< byte just past record `seq` in `segment`
+  std::uint64_t seq = 0;     ///< last record this position consumed
+  /// Segment bytes read through this position so far (cumulative).
+  std::uint64_t bytes_read = 0;
+};
+
+/// Where a read_wal_records call stops besides `max_records`.
+struct WalReadLimits {
+  /// Return no record past this seq (the replication shipper's committed
+  /// watermark: later records may still be mid-group-commit).
+  std::uint64_t through_seq = UINT64_MAX;
+  /// Stop before the record that would push the returned payload bytes
+  /// past this; the first record is always returned, so a read makes
+  /// progress whatever its size.
+  std::size_t max_payload_bytes = SIZE_MAX;
+};
+
+/// Read up to `max_records` records with seq > from_seq from the segment
+/// files in `dir`, in seq order — the replication shipper's view of the
+/// log (the disk IS the replication buffer; nothing is queued in memory
+/// for slow followers). Every returned record is CRC-checked.
+///
+/// With `pos` whose seq equals from_seq and whose segment still exists,
+/// the read resumes at pos's byte offset and reads only what it returns
+/// (plus at most one 64 KiB read-ahead chunk); it lists the directory
+/// only when that segment ends and the next record is in a newer one.
+/// Otherwise — no position yet, a position for another seq (a new
+/// session, or after a snapshot), or its segment deleted by compaction —
+/// it scans: it starts at the segment whose name covers from_seq + 1 and
+/// frame-checks the records at or below from_seq without copying them.
+/// Either way `pos` is left just past the last record returned (or past
+/// from_seq's record when none is returned), and its bytes_read grows by
+/// the bytes this call read.
+///
+/// Safe to call while another thread appends or compacts: a partial
+/// record at the tail (an append in progress, or a torn tail recovery
+/// has not yet trimmed) ends the read instead of throwing, and leaves
+/// `pos` before it. Sets `*gap` (may be null) when the record after
+/// from_seq no longer exists because the oldest surviving record already
+/// exceeds from_seq + 1 — compaction pruned history the caller needs, so
+/// it must catch up from a snapshot instead.
 std::vector<WalRecord> read_wal_records(const std::string& dir,
                                         std::uint64_t from_seq,
                                         std::size_t max_records,
-                                        bool* gap = nullptr);
+                                        bool* gap = nullptr,
+                                        WalReadPos* pos = nullptr,
+                                        const WalReadLimits& limits = {});
 
 struct ReplayStats {
   std::uint64_t records_applied = 0;

@@ -332,6 +332,231 @@ TEST(ReplBatch, PrunedHistoryReportsGap) {
   EXPECT_EQ(b.records.front().seq, 6u);
 }
 
+// ------------------------------------------ per-session read position
+
+namespace {
+
+/// A WAL in `dir` holding records 1..n with `payload_bytes`-byte payloads
+/// (byte i of record s is s + i, so payloads differ per record).
+void fill_wal(const std::string& dir, std::uint64_t n,
+              std::size_t payload_bytes, std::size_t segment_max_bytes,
+              obs::MetricsRegistry& reg) {
+  store::WalOptions wo;
+  wo.metrics = &reg;
+  wo.fsync = store::FsyncPolicy::kNever;
+  wo.segment_max_bytes = segment_max_bytes;
+  store::WriteAheadLog wal(dir, wo);
+  wal.open_and_replay(0, [](std::uint64_t, const net::Bytes&) {});
+  std::vector<store::WalRecord> batch;
+  for (std::uint64_t s = 1; s <= n; ++s) {
+    store::WalRecord r;
+    r.seq = s;
+    for (std::size_t i = 0; i < payload_bytes; ++i)
+      r.payload.push_back(static_cast<std::uint8_t>(s + i));
+    batch.push_back(std::move(r));
+  }
+  wal.append_batch(batch);
+}
+
+std::uint64_t dir_bytes(const std::string& dir) {
+  std::uint64_t total = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    total += e.file_size();
+  return total;
+}
+
+/// Ship cursor..watermark in batches through `pos`, as one session does.
+std::vector<store::WalRecord> ship_all(const std::string& dir,
+                                       std::uint64_t cursor,
+                                       std::uint64_t watermark,
+                                       std::size_t max_records,
+                                       std::size_t max_bytes,
+                                       store::WalReadPos* pos) {
+  std::vector<store::WalRecord> shipped;
+  while (cursor < watermark) {
+    auto b = replica::next_ship_batch(dir, cursor, watermark, max_records,
+                                      max_bytes, pos);
+    EXPECT_FALSE(b.gap);
+    if (b.records.empty()) break;
+    cursor = b.records.back().seq;
+    for (auto& r : b.records) shipped.push_back(std::move(r));
+  }
+  return shipped;
+}
+
+void expect_seqs(const std::vector<store::WalRecord>& recs,
+                 std::uint64_t first, std::uint64_t last) {
+  ASSERT_EQ(recs.size(), last - first + 1);
+  for (std::size_t i = 0; i < recs.size(); ++i)
+    EXPECT_EQ(recs[i].seq, first + i);
+}
+
+}  // namespace
+
+// The cost a quorum ack pays for its shipment: a caught-up session's
+// one-record batch reads that record, not the segment it ends.
+TEST(ReplBatch, OneRecordFromFullSegmentReadsUnder64KiB) {
+  TempDir td;
+  obs::MetricsRegistry reg;
+  const std::uint64_t n = 3600;  // ~3.6 MiB of 1 KiB records
+  fill_wal(td.path, n, 1000, 4u << 20, reg);
+  ASSERT_GE(dir_bytes(td.path), 3584u << 10);
+  ASSERT_EQ(std::distance(std::filesystem::directory_iterator(td.path),
+                          std::filesystem::directory_iterator()),
+            1);
+
+  const ShipperOptions defaults;
+  store::WalReadPos pos;
+  expect_seqs(ship_all(td.path, 0, n - 1, defaults.batch_max_records,
+                       defaults.batch_max_bytes, &pos),
+              1, n - 1);
+  ASSERT_EQ(pos.seq, n - 1);
+
+  const std::uint64_t before = pos.bytes_read;
+  const auto b = replica::next_ship_batch(td.path, n - 1, n,
+                                          defaults.batch_max_records,
+                                          defaults.batch_max_bytes, &pos);
+  expect_seqs(b.records, n, n);
+  EXPECT_LT(pos.bytes_read - before, 64u << 10);
+}
+
+// Catching up a whole segment reads each byte about once, not once per
+// batch.
+TEST(ReplBatch, SegmentCatchUpReadsAtMostTwiceItsBytes) {
+  TempDir td;
+  obs::MetricsRegistry reg;
+  // Exactly enough 1020-byte records to fill the 4 MiB segment: the last
+  // one lands while it is still under the rotation threshold.
+  const std::uint64_t n = ((4u << 20) + 1019) / 1020;
+  fill_wal(td.path, n, 1000, 4u << 20, reg);
+  const std::uint64_t segment_bytes = dir_bytes(td.path);
+  ASSERT_GE(segment_bytes, 4u << 20);
+  ASSERT_EQ(std::distance(std::filesystem::directory_iterator(td.path),
+                          std::filesystem::directory_iterator()),
+            1);
+
+  const ShipperOptions defaults;
+  store::WalReadPos pos;
+  const auto shipped = ship_all(td.path, 0, n, defaults.batch_max_records,
+                                defaults.batch_max_bytes, &pos);
+  expect_seqs(shipped, 1, n);
+  EXPECT_LE(pos.bytes_read, 2 * segment_bytes);
+}
+
+TEST(ReplBatch, CursorCrossesSegmentRotation) {
+  TempDir td;
+  obs::MetricsRegistry reg;
+  store::WalOptions wo;
+  wo.metrics = &reg;
+  wo.segment_max_bytes = 64;  // two 36-byte records per segment
+  store::WriteAheadLog wal(td.path, wo);
+  wal.open_and_replay(0, [](std::uint64_t, const net::Bytes&) {});
+  for (std::uint64_t s = 1; s <= 7; ++s)
+    wal.append(s, net::Bytes(16, static_cast<std::uint8_t>(s)));
+
+  // Batches of three straddle every segment boundary.
+  store::WalReadPos pos;
+  auto shipped = ship_all(td.path, 0, 7, 3, 1u << 20, &pos);
+  expect_seqs(shipped, 1, 7);
+  EXPECT_EQ(pos.seq, 7u);
+  const std::string seg_of_7 = pos.segment;
+
+  // The live tail rotates past the position's segment: the next read
+  // moves on to the new one and ends at its last byte.
+  for (std::uint64_t s = 8; s <= 11; ++s)
+    wal.append(s, net::Bytes(16, static_cast<std::uint8_t>(s)));
+  shipped = ship_all(td.path, 7, 11, 3, 1u << 20, &pos);
+  expect_seqs(shipped, 8, 11);
+  EXPECT_NE(pos.segment, seg_of_7);
+  EXPECT_EQ(pos.offset, std::filesystem::file_size(pos.segment));
+
+  const auto fresh = replica::next_ship_batch(td.path, 0, 11, 256, 1u << 20);
+  ASSERT_EQ(fresh.records.size(), 11u);
+  EXPECT_EQ(fresh.records[9].payload, shipped[2].payload);
+}
+
+TEST(ReplBatch, PartialTailShipsNothingUntilComplete) {
+  TempDir td;
+  obs::MetricsRegistry reg;
+  fill_wal(td.path, 5, 40, 4u << 20, reg);
+  store::WalReadPos pos;
+  expect_seqs(ship_all(td.path, 0, 5, 256, 1u << 20, &pos), 1, 5);
+
+  // An append in progress: only the first half of record 6 is on disk.
+  const net::Bytes payload(40, 0x66);
+  const net::Bytes rec = store::encode_wal_record(6, payload);
+  const std::size_t half = rec.size() / 2;
+  {
+    std::ofstream out(pos.segment, std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(rec.data()),
+              static_cast<std::streamsize>(half));
+  }
+  const store::WalReadPos held = pos;
+  auto b = replica::next_ship_batch(td.path, 5, 6, 256, 1u << 20, &pos);
+  EXPECT_TRUE(b.records.empty());
+  EXPECT_FALSE(b.gap);
+  EXPECT_EQ(pos.segment, held.segment);
+  EXPECT_EQ(pos.offset, held.offset);
+  EXPECT_EQ(pos.seq, held.seq);
+
+  {
+    std::ofstream out(pos.segment, std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(rec.data() + half),
+              static_cast<std::streamsize>(rec.size() - half));
+  }
+  b = replica::next_ship_batch(td.path, 5, 6, 256, 1u << 20, &pos);
+  expect_seqs(b.records, 6, 6);
+  EXPECT_EQ(b.records[0].payload, payload);
+  EXPECT_EQ(pos.seq, 6u);
+  EXPECT_EQ(pos.offset, held.offset + rec.size());
+}
+
+TEST(ReplBatch, CompactedSegmentUnderLiveCursorReportsGap) {
+  TempDir td;
+  obs::MetricsRegistry reg;
+  store::WalOptions wo;
+  wo.metrics = &reg;
+  wo.segment_max_bytes = 1;  // rotate after every record
+  store::WriteAheadLog wal(td.path, wo);
+  wal.open_and_replay(0, [](std::uint64_t, const net::Bytes&) {});
+  for (std::uint64_t s = 1; s <= 10; ++s) wal.append(s, {0x42});
+
+  store::WalReadPos pos;
+  expect_seqs(ship_all(td.path, 0, 3, 256, 1u << 20, &pos), 1, 3);
+  ASSERT_TRUE(std::filesystem::exists(pos.segment));
+  ASSERT_GT(wal.truncate_through(5), 0u);
+  ASSERT_FALSE(std::filesystem::exists(pos.segment));
+
+  const auto b = replica::next_ship_batch(td.path, 3, 10, 256, 1u << 20, &pos);
+  EXPECT_TRUE(b.gap) << "the position's segment was compacted away";
+  EXPECT_TRUE(b.records.empty());
+}
+
+TEST(ReplBatch, MismatchedCursorFallsBackToScan) {
+  TempDir td;
+  obs::MetricsRegistry reg;
+  fill_wal(td.path, 20, 24, 200, reg);  // several segments
+  store::WalReadPos pos;
+  expect_seqs(ship_all(td.path, 0, 12, 256, 1u << 20, &pos), 1, 12);
+
+  // Behind the position (a reconnect) and ahead of it (after a snapshot):
+  // both read exactly what a fresh scan reads.
+  for (const std::uint64_t cursor : {4u, 15u}) {
+    store::WalReadPos at_12 = pos;
+    const auto fresh =
+        replica::next_ship_batch(td.path, cursor, 20, 256, 1u << 20);
+    const auto resumed =
+        replica::next_ship_batch(td.path, cursor, 20, 256, 1u << 20, &at_12);
+    EXPECT_FALSE(resumed.gap);
+    ASSERT_EQ(resumed.records.size(), fresh.records.size()) << cursor;
+    for (std::size_t i = 0; i < fresh.records.size(); ++i) {
+      EXPECT_EQ(resumed.records[i].seq, fresh.records[i].seq);
+      EXPECT_EQ(resumed.records[i].payload, fresh.records[i].payload);
+    }
+    EXPECT_EQ(at_12.seq, 20u);
+  }
+}
+
 // --------------------------------------------------------- ack tracking
 
 TEST(ReplAckTracker, QuorumIsKthLargestAmongLiveSessions) {
@@ -545,6 +770,31 @@ TEST(Replication, FollowerConvergesByteIdentical) {
               read_file(f.dir.path + "/" + name))
         << name;
 
+  leader.shipper->shutdown();
+}
+
+// crowdml_repl_wal_read_bytes_total counts what sessions read from the
+// log. A follower fed in many small batches costs about one read of each
+// byte, where rescanning the active segment per batch costs one read of
+// the segment per batch.
+TEST(ReplShipper, WalReadBytesStayLinearInShippedLog) {
+  LeaderRig leader(ReplAckMode::kAsync);
+  FollowerRig f(leader.shipper->port());
+  f.follower->start();
+  rng::Engine eng(9);
+  for (std::uint64_t round = 1; round <= 20; ++round) {
+    leader.drive(eng, 5);
+    ASSERT_TRUE(
+        wait_until([&] { return f.follower->applied_seq() == 5 * round; }));
+  }
+  std::uint64_t wal_bytes = 0;
+  for (const auto& name : wal_segment_names(leader.store->dir()))
+    wal_bytes += std::filesystem::file_size(leader.store->dir() + "/" + name);
+  long long read = -1;
+  for (const auto& row : leader.reg.snapshot().counters)
+    if (row.name == "crowdml_repl_wal_read_bytes_total") read = row.value;
+  EXPECT_GT(read, 0);
+  EXPECT_LE(static_cast<std::uint64_t>(read), 2 * wal_bytes);
   leader.shipper->shutdown();
 }
 
