@@ -211,25 +211,31 @@ inline JsonField jstr(const std::string& key, const std::string& v) {
   return {key, "\"" + json_escape(v) + "\""};
 }
 
-/// Host facts a bench JSON records beside its numbers, as a JSON object:
-/// the CPUs this process may run on (what `nproc` prints) and the CPU
-/// model from /proc/cpuinfo.
-inline std::string host_facts_json() {
+/// The CPUs this process may run on (what `nproc` prints).
+inline int host_nproc() {
   cpu_set_t set;
   CPU_ZERO(&set);
-  const int cpus =
-      sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 0;
-  std::string model = "unknown";
+  return sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 0;
+}
+
+/// The CPU model from /proc/cpuinfo, or "unknown".
+inline std::string host_cpu_model() {
   std::ifstream cpuinfo("/proc/cpuinfo");
   for (std::string line; std::getline(cpuinfo, line);) {
     if (line.rfind("model name", 0) != 0) continue;
     const auto colon = line.find(':');
     if (colon != std::string::npos && colon + 2 <= line.size())
-      model = line.substr(colon + 2);
+      return line.substr(colon + 2);
     break;
   }
-  return "{\"nproc\": " + std::to_string(cpus) + ", \"cpu_model\": \"" +
-         json_escape(model) + "\"}";
+  return "unknown";
+}
+
+/// Host facts a bench JSON records beside its numbers, as a JSON object:
+/// host_nproc() and host_cpu_model().
+inline std::string host_facts_json() {
+  return "{\"nproc\": " + std::to_string(host_nproc()) + ", \"cpu_model\": \"" +
+         json_escape(host_cpu_model()) + "\"}";
 }
 
 /// Write the bench's results (+ every check recorded so far) to `path`.

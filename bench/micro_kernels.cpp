@@ -1,13 +1,22 @@
 // Micro-benchmarks (google-benchmark) backing the Section IV-B scalability
-// analysis: per-sample device compute, sanitization cost, wire costs,
-// server update cost, and simulator event throughput.
+// analysis: per-sample device compute, sanitization cost, wire costs
+// (codec, CRC-32, SHA-256/HMAC), server update cost, and simulator event
+// throughput. BENCH_kernels.json at the repo root holds the byte-kernel
+// rows, from one command line:
+//   ./build/bench/micro_kernels
+//       --benchmark_filter='Crc32|Sha256|Hmac|CheckinSerializeParse|ServerHandleCheckin'
+//       --benchmark_out=BENCH_kernels.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
+
+#include "common.hpp"
 
 #include "core/server.hpp"
 #include "linalg/pca.hpp"
 #include "models/logistic_regression.hpp"
+#include "net/checksum.hpp"
 #include "net/messages.hpp"
 #include "net/sha256.hpp"
+#include "net/sha256_kernels.hpp"
 #include "opt/schedule.hpp"
 #include "privacy/mechanisms.hpp"
 #include "rng/distributions.hpp"
@@ -117,6 +126,26 @@ static void BM_Sha256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1KiB);
 
+// Checkin-sized inputs: a 500-dim checkin frame is 4169 bytes, and every
+// checkin pays one HMAC over its body, one CRC over the frame and one
+// CRC over its WAL record.
+static void BM_Sha256_4KiB(benchmark::State& state) {
+  std::vector<std::uint8_t> data(4096, 0xAB);
+  for (auto _ : state) benchmark::DoNotOptimize(net::sha256(data));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
+}
+BENCHMARK(BM_Sha256_4KiB);
+
+static void BM_Crc32_4KiB(benchmark::State& state) {
+  std::vector<std::uint8_t> data(4096);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(i * 131u);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(net::crc32(data.data(), data.size()));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
+}
+BENCHMARK(BM_Crc32_4KiB);
+
 // Server-side cost of one checkin (Algorithm 2 update + stats).
 static void BM_ServerHandleCheckin(benchmark::State& state) {
   core::ServerConfig cfg;
@@ -176,4 +205,21 @@ static void BM_PcaTransform(benchmark::State& state) {
 }
 BENCHMARK(BM_PcaTransform);
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus provenance in the JSON context block: the host
+// (CPU model, CPUs this process may use), this build's type, and the
+// SHA-256 kernel the process dispatched to, since the Sha256/Hmac rows
+// depend on it.
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("cpu_model", bench::host_cpu_model());
+  benchmark::AddCustomContext("crowdml_build_type", CROWDML_BUILD_TYPE);
+  benchmark::AddCustomContext("nproc", std::to_string(bench::host_nproc()));
+  benchmark::AddCustomContext(
+      "sha256_kernel",
+      net::detail::sha256_blocks() == &net::detail::sha256_blocks_scalar ? "scalar"
+                                                                         : "sha-ni");
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

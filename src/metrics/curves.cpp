@@ -76,7 +76,7 @@ void write_curves_csv(std::ostream& out, const std::vector<std::string>& names,
   for (const auto& n : names) out << ',' << n;
   out << '\n';
   const std::size_t rows = curves.front().size();
-  for (const auto& c : curves) assert(c.size() == rows);
+  for ([[maybe_unused]] const auto& c : curves) assert(c.size() == rows);
   for (std::size_t r = 0; r < rows; ++r) {
     out << curves.front().points()[r].x;
     for (const auto& c : curves) out << ',' << c.points()[r].y;

@@ -5,22 +5,28 @@
 
 namespace crowdml::net {
 
+static_assert(sizeof(double) == 8);
+
+namespace {
+
+void append(Bytes& buf, const void* src, std::size_t n) {
+  if (n == 0) return;  // src may be null for an empty vector
+  const std::size_t at = buf.size();
+  buf.resize(at + n);
+  std::memcpy(buf.data() + at, src, n);
+}
+
+}  // namespace
+
 void Writer::put_u8(std::uint8_t v) { buf_.push_back(v); }
 
-void Writer::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void Writer::put_u32(std::uint32_t v) { append(buf_, &v, sizeof(v)); }
 
-void Writer::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void Writer::put_u64(std::uint64_t v) { append(buf_, &v, sizeof(v)); }
 
 void Writer::put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
 
-void Writer::put_f64(double v) {
-  static_assert(sizeof(double) == 8);
-  put_u64(std::bit_cast<std::uint64_t>(v));
-}
+void Writer::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
 
 void Writer::put_bytes(const Bytes& b) {
   if (b.size() > kMaxFieldLength) throw CodecError("bytes field too long");
@@ -37,23 +43,30 @@ void Writer::put_string(const std::string& s) {
 void Writer::put_vector(const linalg::Vector& v) {
   if (v.size() > kMaxFieldLength) throw CodecError("vector field too long");
   put_u32(static_cast<std::uint32_t>(v.size()));
-  for (double d : v) put_f64(d);
+  append(buf_, v.data(), v.size() * sizeof(double));
 }
 
 void Writer::put_i64_vector(const std::vector<std::int64_t>& v) {
   if (v.size() > kMaxFieldLength) throw CodecError("i64 vector field too long");
   put_u32(static_cast<std::uint32_t>(v.size()));
-  for (std::int64_t d : v) put_i64(d);
+  append(buf_, v.data(), v.size() * sizeof(std::int64_t));
 }
 
 void Writer::put_u64_vector(const std::vector<std::uint64_t>& v) {
   if (v.size() > kMaxFieldLength) throw CodecError("u64 vector field too long");
   put_u32(static_cast<std::uint32_t>(v.size()));
-  for (std::uint64_t d : v) put_u64(d);
+  append(buf_, v.data(), v.size() * sizeof(std::uint64_t));
 }
 
 void Reader::need(std::size_t n) const {
   if (remaining() < n) throw CodecError("truncated message");
+}
+
+void Reader::copy_out(void* dst, std::size_t n) {
+  need(n);
+  if (n == 0) return;  // dst may be null for an empty vector
+  std::memcpy(dst, buf_.data() + pos_, n);
+  pos_ += n;
 }
 
 std::uint8_t Reader::get_u8() {
@@ -62,16 +75,14 @@ std::uint8_t Reader::get_u8() {
 }
 
 std::uint32_t Reader::get_u32() {
-  need(4);
   std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf_[pos_++]) << (8 * i);
+  copy_out(&v, sizeof(v));
   return v;
 }
 
 std::uint64_t Reader::get_u64() {
-  need(8);
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf_[pos_++]) << (8 * i);
+  copy_out(&v, sizeof(v));
   return v;
 }
 
@@ -102,27 +113,27 @@ std::string Reader::get_string() {
 linalg::Vector Reader::get_vector() {
   const std::uint32_t n = get_u32();
   if (n > kMaxFieldLength) throw CodecError("vector length out of range");
-  need(static_cast<std::size_t>(n) * 8);
+  need(static_cast<std::size_t>(n) * sizeof(double));
   linalg::Vector out(n);
-  for (std::uint32_t i = 0; i < n; ++i) out[i] = get_f64();
+  copy_out(out.data(), out.size() * sizeof(double));
   return out;
 }
 
 std::vector<std::int64_t> Reader::get_i64_vector() {
   const std::uint32_t n = get_u32();
   if (n > kMaxFieldLength) throw CodecError("i64 vector length out of range");
-  need(static_cast<std::size_t>(n) * 8);
+  need(static_cast<std::size_t>(n) * sizeof(std::int64_t));
   std::vector<std::int64_t> out(n);
-  for (std::uint32_t i = 0; i < n; ++i) out[i] = get_i64();
+  copy_out(out.data(), out.size() * sizeof(std::int64_t));
   return out;
 }
 
 std::vector<std::uint64_t> Reader::get_u64_vector() {
   const std::uint32_t n = get_u32();
   if (n > kMaxFieldLength) throw CodecError("u64 vector length out of range");
-  need(static_cast<std::size_t>(n) * 8);
+  need(static_cast<std::size_t>(n) * sizeof(std::uint64_t));
   std::vector<std::uint64_t> out(n);
-  for (std::uint32_t i = 0; i < n; ++i) out[i] = get_u64();
+  copy_out(out.data(), out.size() * sizeof(std::uint64_t));
   return out;
 }
 

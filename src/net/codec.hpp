@@ -1,11 +1,15 @@
 // Binary wire codec.
 //
 // Explicit little-endian encoding of the primitives Crowd-ML messages
-// need. Reader throws CodecError on truncation or malformed input — a
-// hostile peer (Section III-C's threat model includes malignant devices)
-// must never be able to crash the server with a short frame.
+// need. Every target we build is little-endian (asserted below),
+// so fixed-width fields and whole f64/i64/u64 vectors move as one
+// memcpy each; there is no byte-swapping path. Reader throws CodecError
+// on truncation or malformed input — a hostile peer (Section III-C's
+// threat model includes malignant devices) must never be able to crash
+// the server with a short frame.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -16,6 +20,12 @@
 namespace crowdml::net {
 
 using Bytes = std::vector<std::uint8_t>;
+
+// The wire and WAL formats are little-endian, and so is every target we
+// build: the codec, the frame header and the CRC word loop copy native
+// integers and doubles as raw bytes.
+static_assert(std::endian::native == std::endian::little,
+              "wire format is little-endian; big-endian targets are unsupported");
 
 class CodecError : public std::runtime_error {
  public:
@@ -62,6 +72,7 @@ class Reader {
 
  private:
   void need(std::size_t n) const;
+  void copy_out(void* dst, std::size_t n);  // need(n), then take n raw bytes
 
   const Bytes& buf_;
   std::size_t pos_ = 0;

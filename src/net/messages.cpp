@@ -1,5 +1,7 @@
 #include "net/messages.hpp"
 
+#include <cstring>
+
 #include "net/checksum.hpp"
 #include "obs/profile.hpp"
 
@@ -653,16 +655,18 @@ Bytes frame_with_checkin_hint(const Bytes& frame, std::uint32_t hint_ms) {
 
 Bytes encode_frame(MessageType type, const Bytes& payload) {
   obs::TimedScope timer(encode_seconds());
-  Bytes out;
-  out.reserve(kFrameHeaderSize + payload.size() + kFrameTrailerSize);
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
-  out.push_back(static_cast<std::uint8_t>(type));
   const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  out.insert(out.end(), payload.begin(), payload.end());
+  Bytes out(kFrameHeaderSize + payload.size() + kFrameTrailerSize);
+  std::memcpy(out.data(), kMagic, kFrameMagicSize);
+  out[kFrameTypeOffset] = static_cast<std::uint8_t>(type);
+  std::memcpy(out.data() + kFrameLenOffset, &len, sizeof(len));  // little-endian
+  if (!payload.empty())
+    std::memcpy(out.data() + kFrameHeaderSize, payload.data(), payload.size());
   // CRC over type + len + payload (everything after the magic).
-  const std::uint32_t crc = crc32(out.data() + 4, out.size() - 4);
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  const std::size_t crc_off = kFrameHeaderSize + payload.size();
+  const std::uint32_t crc =
+      crc32(out.data() + kFrameMagicSize, crc_off - kFrameMagicSize);
+  std::memcpy(out.data() + crc_off, &crc, sizeof(crc));
   return out;
 }
 

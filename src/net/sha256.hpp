@@ -3,7 +3,15 @@
 // The paper's prototype authenticates devices over HTTPS; our transport
 // substitutes HMAC-SHA256 message tags keyed by per-device secrets
 // (DESIGN.md "Substitutions"). This is a from-scratch implementation —
-// validated against the NIST test vectors in tests/net/sha256_test.cpp.
+// validated against the NIST and RFC 4231 vectors in tests/net_test.cpp.
+//
+// Block compression has two kernels (net/sha256_kernels.hpp): a portable
+// scalar one, which is the reference, and one on the x86 SHA extensions
+// (SHA-NI). The first Sha256 picks SHA-NI when CPUID reports it and the
+// scalar kernel otherwise, once per process; both give identical
+// digests, and tests compare them block for block. update() compresses
+// whole 64-byte blocks straight from the caller's buffer and copies only
+// a partial tail.
 #pragma once
 
 #include <array>
@@ -26,8 +34,6 @@ class Sha256 {
   Digest finish();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;

@@ -2,7 +2,9 @@
 // published vectors), messages/framing, auth registry, channels, and TCP.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <thread>
 
 #include "net/auth.hpp"
@@ -11,7 +13,9 @@
 #include "net/codec.hpp"
 #include "net/messages.hpp"
 #include "net/sha256.hpp"
+#include "net/sha256_kernels.hpp"
 #include "net/tcp.hpp"
+#include "store/wal.hpp"
 
 using namespace crowdml;
 using namespace crowdml::net;
@@ -85,6 +89,39 @@ TEST(Crc32, KnownVector) {
 
 TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32(nullptr, 0), 0u); }
 
+namespace {
+
+// The classic one-byte-at-a-time CRC-32 with its table computed inline:
+// the reference the slicing-by-8 kernel must reproduce.
+std::uint32_t crc32_bytewise(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+Bytes random_bytes(std::mt19937_64& gen, std::size_t n) {
+  Bytes b(n);
+  for (auto& v : b) v = static_cast<std::uint8_t>(gen());
+  return b;
+}
+
+}  // namespace
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  std::mt19937_64 gen(19);
+  const Bytes buf = random_bytes(gen, 1100 + 8);
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      ASSERT_EQ(crc32(buf.data() + start, len),
+                crc32_bytewise(buf.data() + start, len))
+          << "start " << start << " len " << len;
+    }
+  }
+}
+
 TEST(Sha256, NistVectors) {
   EXPECT_EQ(to_hex(sha256(std::string(""))),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
@@ -104,6 +141,77 @@ TEST(Sha256, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
+namespace {
+
+using detail::Sha256BlocksFn;
+
+std::array<std::uint32_t, 8> initial_sha256_state() {
+  return {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+          0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+}
+
+// One-shot SHA-256 through the scalar kernel alone, with the padding
+// spelled out: the reference the dispatched Sha256 must reproduce.
+Digest scalar_sha256(const Bytes& msg) {
+  auto state = initial_sha256_state();
+  const std::size_t whole = msg.size() / 64;
+  detail::sha256_blocks_scalar(state.data(), msg.data(), whole);
+  Bytes tail(msg.begin() + static_cast<std::ptrdiff_t>(64 * whole), msg.end());
+  tail.push_back(0x80);
+  while (tail.size() % 64 != 56) tail.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) tail.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  detail::sha256_blocks_scalar(state.data(), tail.data(), tail.size() / 64);
+  Digest d;
+  for (std::size_t i = 0; i < d.size(); ++i)
+    d[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  return d;
+}
+
+}  // namespace
+
+TEST(Sha256, ShaNiKernelMatchesScalarOnRandomBlocks) {
+  const Sha256BlocksFn shani = detail::sha256_blocks_shani();
+  if (shani == nullptr) GTEST_SKIP() << "CPU lacks the x86 SHA extensions";
+  std::mt19937_64 gen(23);
+  for (std::size_t nblocks : {1u, 2u, 3u, 7u, 64u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const Bytes blocks = random_bytes(gen, 64 * nblocks);
+      auto scalar_state = initial_sha256_state();
+      if (trial % 2 == 1)  // also from arbitrary, non-initial states
+        for (auto& w : scalar_state) w = static_cast<std::uint32_t>(gen());
+      auto shani_state = scalar_state;
+      detail::sha256_blocks_scalar(scalar_state.data(), blocks.data(), nblocks);
+      shani(shani_state.data(), blocks.data(), nblocks);
+      ASSERT_EQ(shani_state, scalar_state) << nblocks << " blocks, trial " << trial;
+    }
+  }
+}
+
+TEST(Sha256, DispatchedKernelIsShaNiOrScalar) {
+  const Sha256BlocksFn shani = detail::sha256_blocks_shani();
+  EXPECT_EQ(detail::sha256_blocks(),
+            shani != nullptr ? shani : &detail::sha256_blocks_scalar);
+}
+
+TEST(Sha256, StreamingMatchesOneShotUnderRandomSplits) {
+  std::mt19937_64 gen(29);
+  const std::size_t piece_sizes[] = {1, 63, 64, 65};
+  for (int trial = 0; trial < 200; ++trial) {
+    const Bytes msg = random_bytes(gen, gen() % 1200);
+    Sha256 h;
+    std::size_t at = 0;
+    while (at < msg.size()) {
+      const std::size_t n = std::min(piece_sizes[gen() % 4], msg.size() - at);
+      h.update(msg.data() + at, n);
+      at += n;
+    }
+    const Digest streamed = h.finish();
+    ASSERT_EQ(streamed, sha256(msg)) << "length " << msg.size();
+    ASSERT_EQ(streamed, scalar_sha256(msg)) << "length " << msg.size();
+  }
+}
+
 TEST(HmacSha256, Rfc4231Case1) {
   const std::vector<std::uint8_t> key(20, 0x0b);
   const std::string msg = "Hi There";
@@ -121,6 +229,24 @@ TEST(HmacSha256, Rfc4231Case2) {
       key, reinterpret_cast<const std::uint8_t*>(msg.data()), msg.size());
   EXPECT_EQ(to_hex(d),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+}
+
+TEST(HmacSha256, MatchesScalarReferenceOnCheckinSizedBodies) {
+  std::mt19937_64 gen(31);
+  for (const std::size_t len : {0u, 1u, 55u, 56u, 64u, 4096u, 4169u}) {
+    const Bytes key = random_bytes(gen, 32);
+    const Bytes msg = random_bytes(gen, len);
+    Bytes inner(64), outer(64);
+    for (std::size_t i = 0; i < 64; ++i) {
+      const std::uint8_t k = i < key.size() ? key[i] : 0;
+      inner[i] = static_cast<std::uint8_t>(k ^ 0x36);
+      outer[i] = static_cast<std::uint8_t>(k ^ 0x5c);
+    }
+    inner.insert(inner.end(), msg.begin(), msg.end());
+    const Digest inner_digest = scalar_sha256(inner);
+    outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+    EXPECT_EQ(hmac_sha256(key, msg), scalar_sha256(outer)) << "length " << len;
+  }
 }
 
 TEST(HmacSha256, LongKeyIsHashedFirst) {
@@ -194,6 +320,63 @@ TEST(Messages, AckRoundTrip) {
   const auto parsed = AckMessage::deserialize(a.serialize());
   EXPECT_FALSE(parsed.ok);
   EXPECT_EQ(parsed.reason, "bad gradient");
+}
+
+namespace {
+
+std::string hex(const Bytes& b) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t v : b) {
+    out.push_back(digits[v >> 4]);
+    out.push_back(digits[v & 0xF]);
+  }
+  return out;
+}
+
+}  // namespace
+
+// Every other codec test round-trips the codec through itself, so a
+// change that alters the encoding symmetrically would pass them. These
+// constants were captured from the byte-at-a-time codec, CRC and SHA-256
+// that preceded the bulk-copy, slicing-by-8 and SHA-NI kernels: small
+// frames as hex, large ones as length plus SHA-256 of the bytes.
+TEST(Frames, GoldenBytesMatchPinnedFormat) {
+  CheckinMessage checkin;
+  checkin.device_id = 7;
+  checkin.param_version = 42;
+  checkin.g_hat.resize(500);
+  for (std::size_t i = 0; i < checkin.g_hat.size(); ++i)
+    checkin.g_hat[i] = (static_cast<double>(i) - 250.0) / 7.0;
+  checkin.ns = 20;
+  checkin.ne_hat = -3;
+  checkin.ny_hat = {2, -1, 0, 5, 3, 1, 0, -2, 4, 8};
+  checkin.auth_tag = hmac_sha256(Bytes(32, 0x5c), checkin.body());
+  const Bytes checkin_frame = encode_frame(MessageType::kCheckin, checkin.serialize());
+  EXPECT_EQ(checkin_frame.size(), 4169u);
+  EXPECT_EQ(to_hex(sha256(checkin_frame)),
+            "a5a66a1e060e83df9f0f082713dae6babe695ea9346fdbae8adfa2b6465082a7");
+  EXPECT_EQ(CheckinMessage::deserialize(decode_frame(checkin_frame).payload).g_hat,
+            checkin.g_hat);
+
+  ParamsMessage params;
+  params.version = 9;
+  params.w = {0.5, -1.25, 1.0 / 3.0};
+  params.next_checkin_hint_ms = 250;
+  EXPECT_EQ(hex(encode_frame(MessageType::kParams, params.serialize())),
+            "43524d4c022900000009000000000000000103000000000000000000e03f0000"
+            "00000000f4bf555555555555d53ffa000000ce68ea49");
+
+  AckMessage ack;
+  ack.ok = false;
+  ack.reason = "stale version";
+  EXPECT_EQ(hex(encode_frame(MessageType::kAck, ack.serialize())),
+            "43524d4c0412000000000d0000007374616c652076657273696f6ec308e450");
+
+  const Bytes wal_record = store::encode_wal_record(17, checkin.serialize());
+  EXPECT_EQ(wal_record.size(), 4176u);
+  EXPECT_EQ(to_hex(sha256(wal_record)),
+            "c606702681cb27aa26475f605b1e0c2730f02eafea580aba9a7a33b81f1bdf2d");
 }
 
 TEST(Frames, EncodeDecodeRoundTrip) {

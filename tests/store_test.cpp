@@ -6,7 +6,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
+#include "net/messages.hpp"
+#include "net/sha256.hpp"
 #include "opt/schedule.hpp"
 #include "rng/distributions.hpp"
 #include "store/durable_store.hpp"
@@ -207,6 +210,68 @@ TEST(Wal, AppendThenReplayRoundTrip) {
   EXPECT_EQ(c.stats.last_seq, 20u);
   EXPECT_FALSE(c.stats.torn_tail_truncated);
   EXPECT_EQ(wal.last_seq(), 20u);  // ready to append 21
+}
+
+// A segment written by the byte-at-a-time codec and CRC that preceded
+// the bulk-copy and slicing-by-8 kernels (bytes captured from that
+// build): an 8-byte payload, a device-class checkin, an empty payload.
+// It must still recover, and today's writer must produce it byte for byte.
+TEST(Wal, RecoversSegmentWrittenByEarlierKernels) {
+  const std::string segment_hex =
+      "4352574c0100000000000000080000000102030405060708998156364352574c"
+      "0200000000000000850000006100000003000000000000000100000000000000"
+      "04000000000000000000d03f000000000000e0bf555555555555d53f00000000"
+      "0000008004000000000000000100000000000000030000000100000000000000"
+      "ffffffffffffffff02000000000000000284efc399938a87fa532d18abe07778"
+      "d47123580d9292bc6654acf4e6a35de0583081d1574352574c03000000000000"
+      "00000000009f144b0c";
+  net::Bytes segment;
+  for (std::size_t i = 0; i < segment_hex.size(); i += 2)
+    segment.push_back(
+        static_cast<std::uint8_t>(std::stoi(segment_hex.substr(i, 2), nullptr, 16)));
+
+  net::CheckinMessage checkin;
+  checkin.device_id = 3;
+  checkin.param_version = 1;
+  checkin.g_hat = {0.25, -0.5, 1.0 / 3.0, -0.0};
+  checkin.ns = 4;
+  checkin.ne_hat = 1;
+  checkin.ny_hat = {1, -1, 2};
+  checkin.device_class = 2;
+  checkin.auth_tag = net::hmac_sha256(net::Bytes(16, 0x11), checkin.body());
+  const std::vector<net::Bytes> payloads = {
+      {1, 2, 3, 4, 5, 6, 7, 8}, checkin.serialize(), {}};
+
+  TempDir old_dir;
+  const std::string name = "/wal-00000000000000000001.log";
+  {
+    std::ofstream f(old_dir.path + name, std::ios::binary);
+    f.write(reinterpret_cast<const char*>(segment.data()),
+            static_cast<std::streamsize>(segment.size()));
+  }
+  WriteAheadLog recovered(old_dir.path, {});
+  const Collected c = replay_all(recovered);
+  ASSERT_EQ(c.records.size(), payloads.size());
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    EXPECT_EQ(c.records[i].seq, i + 1);
+    EXPECT_EQ(c.records[i].payload, payloads[i]);
+  }
+  EXPECT_FALSE(c.stats.torn_tail_truncated);
+  const auto parsed = net::CheckinMessage::deserialize(c.records[1].payload);
+  EXPECT_EQ(parsed.g_hat, checkin.g_hat);
+  EXPECT_EQ(parsed.device_class, 2);
+  EXPECT_EQ(parsed.auth_tag, checkin.auth_tag);
+
+  TempDir new_dir;
+  {
+    WriteAheadLog wal(new_dir.path, {});
+    replay_all(wal);
+    for (std::size_t i = 0; i < payloads.size(); ++i) wal.append(i + 1, payloads[i]);
+  }
+  std::ifstream f(new_dir.path + name, std::ios::binary);
+  const net::Bytes written((std::istreambuf_iterator<char>(f)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, segment);
 }
 
 TEST(Wal, ReplaySkipsRecordsTheSnapshotCovers) {
