@@ -42,6 +42,18 @@ Device::Device(DeviceConfig config, const models::Model& model, rng::Engine eng)
 }
 
 bool Device::on_sample(models::Sample s) {
+  // A sensor pipeline can hand over a sample the model cannot take: the
+  // wrong feature count, or a label outside [0, C). Buffering it would
+  // index past the label counts in Routine 2, so refuse it here.
+  const bool fits =
+      s.x.size() == model_.feature_dim() &&
+      (!model_.is_classifier() ||
+       (s.y >= 0.0 && s.y < static_cast<double>(model_.num_classes()) &&
+        std::floor(s.y) == s.y));
+  if (!fits) {
+    ++malformed_samples_;
+    return false;
+  }
   if (buffer_.size() >= config_.max_buffer) {
     ++dropped_samples_;  // Routine 1: stop collection to prevent outage
     return false;

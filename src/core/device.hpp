@@ -3,7 +3,8 @@
 // A Device is a passive, transport-agnostic state machine:
 //
 //   on_sample()        — Device Routine 1: buffer a sample (respecting the
-//                        max buffer size B), report when a checkout should
+//                        max buffer size B and refusing one that does not
+//                        fit the model), report when a checkout should
 //                        be initiated (ns >= b and no checkout in flight);
 //   compute_checkin()  — Device Routines 2+3: given the checked-out w,
 //                        predict/count/compute the averaged gradient, add
@@ -77,8 +78,10 @@ class Device {
  public:
   Device(DeviceConfig config, const models::Model& model, rng::Engine eng);
 
-  /// Device Routine 1. Returns true if the sample was buffered (false:
-  /// buffer full, sample dropped to prevent resource outage).
+  /// Device Routine 1. Returns true if the sample was buffered. False
+  /// when the buffer is full (dropped to prevent resource outage) or the
+  /// sample does not fit the model: x is not feature_dim() long, or a
+  /// classifier's label is not an integer in [0, num_classes()).
   bool on_sample(models::Sample s);
 
   /// ns >= b and no checkout currently in flight.
@@ -127,6 +130,8 @@ class Device {
   long long lifetime_samples() const { return lifetime_samples_; }
   long long lifetime_errors() const { return lifetime_errors_; }
   long long dropped_samples() const { return dropped_samples_; }
+  /// Samples refused because they do not fit the model (see on_sample).
+  long long malformed_samples() const { return malformed_samples_; }
 
  private:
   /// Device Routine 2 over the current buffer: predictions, counts,
@@ -160,6 +165,7 @@ class Device {
   long long lifetime_samples_ = 0;
   long long lifetime_errors_ = 0;
   long long dropped_samples_ = 0;
+  long long malformed_samples_ = 0;
 };
 
 }  // namespace crowdml::core

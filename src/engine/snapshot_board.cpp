@@ -1,5 +1,7 @@
 #include "engine/snapshot_board.hpp"
 
+#include <utility>
+
 namespace crowdml::engine {
 
 namespace {
@@ -34,13 +36,18 @@ void ModelSnapshotBoard::publish(const core::Server& server) {
   snap->params_frame =
       net::encode_frame(net::MessageType::kParams, msg.serialize());
   snap->published_at = std::chrono::steady_clock::now();
-  current_.store(std::move(snap), std::memory_order_release);
+  std::shared_ptr<const ModelSnapshot> old;
+  {
+    std::lock_guard lock(mu_);
+    old = std::exchange(current_, std::move(snap));
+  }  // the previous snapshot, if last held here, is freed unlocked
   ++publishes_;
   age_seconds_gauge_.set(0.0);
 }
 
 std::shared_ptr<const ModelSnapshot> ModelSnapshotBoard::current() const {
-  return current_.load(std::memory_order_acquire);
+  std::lock_guard lock(mu_);
+  return current_;
 }
 
 std::uint64_t ModelSnapshotBoard::version() const {

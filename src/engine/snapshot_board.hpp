@@ -1,5 +1,4 @@
-// Lock-free checkout serving: a versioned, atomically published model
-// snapshot.
+// Checkout serving from a versioned, published model snapshot.
 //
 // Served through Server::handle_checkout, every checkout takes the
 // server's state lock to copy w (Server Routine 1). At scale that lock is the
@@ -7,9 +6,13 @@
 // yet they serialize against every checkin's SGD update. The board fixes
 // this with RCU-style publication: the applier thread builds a complete
 // snapshot — version, accepted flag, and the *pre-encoded* kParams
-// response frame — and publishes it with one atomic shared_ptr store.
-// I/O threads serve a checkout by loading the pointer and writing the
+// response frame — and publishes it by swapping one shared_ptr. I/O
+// threads serve a checkout by copying the pointer and writing the
 // ready-made frame; they never touch the server, its lock, or the codec.
+// The pointer sits behind a mutex held only for the copy or the swap
+// (never while a snapshot is built or a frame written), which a thread
+// sanitizer can see through; libstdc++ 12's std::atomic<std::shared_ptr>
+// hides its lock from one.
 //
 // Freshness: the applier republishes after every drained checkin batch,
 // so a served snapshot is at most one in-flight batch behind the true
@@ -18,10 +21,10 @@
 // The snapshot-age gauge makes the window observable.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 
 #include "core/server.hpp"
 #include "net/messages.hpp"
@@ -52,7 +55,7 @@ class ModelSnapshotBoard {
   void publish(const core::Server& server);
 
   /// The latest snapshot (never null after construction-time publish;
-  /// null only if publish was never called). Lock-free.
+  /// null only if publish was never called).
   std::shared_ptr<const ModelSnapshot> current() const;
 
   std::uint64_t version() const;
@@ -64,7 +67,8 @@ class ModelSnapshotBoard {
   double age_seconds() const;
 
  private:
-  std::atomic<std::shared_ptr<const ModelSnapshot>> current_{nullptr};
+  mutable std::mutex mu_;
+  std::shared_ptr<const ModelSnapshot> current_;  // guarded by mu_
   obs::Counter& publishes_;
   obs::Gauge& age_seconds_gauge_;
 };

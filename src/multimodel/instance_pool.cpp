@@ -28,6 +28,22 @@ constexpr std::uint64_t kStreamStep = 0x9E3779B97F4A7C15ULL;
 /// Overwrite-record kind tag inside the opaque envelope.
 constexpr std::uint32_t kOverwriteKind = 1;
 
+/// The pool's overwrite-record replay handler: opaque WAL records
+/// deserialize as OverwriteRecords and apply via
+/// Server::overwrite_parameters, leaving version == seq, so recovery and
+/// live apply agree.
+void install_overwrite_replay(store::DurableStoreOptions& opts) {
+  opts.opaque_replay = [](core::Server& server, std::uint64_t seq,
+                          const net::Bytes& payload) {
+    const auto rec = OverwriteRecord::deserialize(payload);
+    const std::uint64_t v = server.overwrite_parameters(rec.w);
+    if (v != seq)
+      throw store::WalError("overwrite replay produced version " +
+                            std::to_string(v) + ", record says " +
+                            std::to_string(seq));
+  };
+}
+
 }  // namespace
 
 net::Bytes OverwriteRecord::serialize() const {
@@ -202,7 +218,7 @@ std::vector<long long> ModelInstancePool::discard_counts() const {
 bool ModelInstancePool::commit(Slot& slot) {
   if (slot.store && !slot.store->commit_group()) return false;
   slot.lazy_records = 0;
-  return !opts_.on_commit || opts_.on_commit(slot.index);
+  return true;
 }
 
 bool ModelInstancePool::Slot::apply(const net::Bytes& frame) {
@@ -262,18 +278,6 @@ void ModelInstancePool::Slot::end_batch() {
     ow.frame = payload;
     if (!slots[i]->queue.try_push(std::move(ow))) ++pool->overwrites_dropped_;
   }
-}
-
-void install_overwrite_replay(store::DurableStoreOptions& opts) {
-  opts.opaque_replay = [](core::Server& server, std::uint64_t seq,
-                          const net::Bytes& payload) {
-    const auto rec = OverwriteRecord::deserialize(payload);
-    const std::uint64_t v = server.overwrite_parameters(rec.w);
-    if (v != seq)
-      throw store::WalError("overwrite replay produced version " +
-                            std::to_string(v) + ", record says " +
-                            std::to_string(seq));
-  };
 }
 
 void wire_engine(ModelInstancePool& pool, engine::EngineConfig& config) {

@@ -11,7 +11,7 @@
 //
 //   draw     a checkout serves a uniformly drawn instance's snapshot
 //            (each instance keeps its own pre-encoded Params frame on
-//            its own ModelSnapshotBoard — still lock-free);
+//            its own ModelSnapshotBoard);
 //   update   a checkin routes to a uniformly drawn instance's
 //            CheckinQueue and is applied by that instance's applier
 //            thread (w_i <- Pi_W[w_i - eta g^], the usual Routine 2);
@@ -106,10 +106,6 @@ struct PoolOptions {
   /// Template for each instance's store (the pool installs its own
   /// opaque_replay handler; group commit is always enabled).
   store::DurableStoreOptions store;
-  /// Called after instance `i`'s successful commit_group — the
-  /// replication shipper's notify/await chain hooks here. Returning
-  /// false nacks the batch (same contract as EngineConfig::group_commit).
-  std::function<bool(std::size_t instance)> on_commit;
   /// Pace steering with k > 1 (docs/SCALING.md "Pace steering"): builds
   /// instance `i`'s own Coordinator — k independent per-class clocks,
   /// each fed only by its own applier's commits and queue depth, each
@@ -153,15 +149,8 @@ class ModelInstancePool {
   std::size_t instances() const { return slots_.size(); }
 
   /// Uniform draw for a checkout — wire into EngineConfig::draw_snapshot.
-  /// Lock-free (atomic splitmix64 stream + atomic board load).
+  /// An atomic splitmix64 draw plus one board pointer copy.
   std::shared_ptr<const engine::ModelSnapshot> draw_snapshot();
-
-  /// Install (or replace) the post-commit hook — see
-  /// PoolOptions::on_commit. Must be called before start(); the
-  /// replication PoolShipperSet wires its notify/quorum chain here.
-  void set_on_commit(std::function<bool(std::size_t)> hook) {
-    opts_.on_commit = std::move(hook);
-  }
 
   /// Uniform routing for a checkin — wire into
   /// EngineConfig::route_checkin. False when the drawn instance's queue
@@ -242,8 +231,7 @@ class ModelInstancePool {
     void end_batch() override;
   };
 
-  /// The applier's commit step: instance `slot`'s group commit, then the
-  /// on_commit hook.
+  /// The applier's commit step: instance `slot`'s group commit.
   bool commit(Slot& slot);
   /// Uniform instance index from the shared atomic stream.
   std::size_t draw_index(std::atomic<std::uint64_t>& state);
@@ -262,12 +250,5 @@ class ModelInstancePool {
 /// Wire the pool into an engine config: checkout draws, checkin routing,
 /// and the shutdown drain. The engine's own applier/board/queue idle.
 void wire_engine(ModelInstancePool& pool, engine::EngineConfig& config);
-
-/// Install the pool's overwrite-record replay handler on a store's
-/// options: opaque WAL records deserialize as OverwriteRecords and apply
-/// via Server::overwrite_parameters, leaving version == seq. Shared by
-/// the pool's own stores and replication followers reconstructing a pool
-/// (replica::FollowerOptions::store) so recovery and live apply agree.
-void install_overwrite_replay(store::DurableStoreOptions& opts);
 
 }  // namespace crowdml::multimodel

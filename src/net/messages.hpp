@@ -153,11 +153,9 @@ struct ReplHelloMessage {
   /// serialized snapshot cached; 0/0 = no partial transfer.
   std::uint64_t snapshot_version = 0;
   std::uint64_t snapshot_offset = 0;
-  /// Multimodel pool instance this stream replicates (draw-and-discard;
-  /// src/multimodel/). Each of the k per-instance WAL streams ships on
-  /// its own connection, and both ends verify the tag so instance j's
-  /// records can never land in instance i's log. 0 for single-model
-  /// deployments and for pool instance 0.
+  /// Stream tag, always 0: a draw-and-discard pool does not replicate
+  /// (docs/REPLICATION.md). Kept on the wire; both ends drop a peer
+  /// whose tag is not 0.
   std::uint64_t instance_id = 0;
 
   Bytes serialize() const;
@@ -199,9 +197,8 @@ struct ReplRecord {
 struct ReplAppendMessage {
   std::uint64_t epoch = 0;
   bool want_ack = true;
-  /// Pool instance whose WAL these records belong to (see
-  /// ReplHelloMessage::instance_id). A follower drops the connection on
-  /// a batch whose tag differs from its hello.
+  /// Stream tag, always 0 (see ReplHelloMessage::instance_id). A
+  /// follower drops the connection on a batch whose tag is not 0.
   std::uint64_t instance_id = 0;
   std::vector<ReplRecord> records;
 

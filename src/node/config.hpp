@@ -1,8 +1,11 @@
 // The plain configuration of one Crowd-ML server node: every tier's
-// settings, already parsed. node::Node::build (node/node.hpp) refuses
-// invalid tier combinations and composes the tiers; tools/flags.hpp
-// fills it from the crowdml-server command line, where each field's
-// flag is documented.
+// settings, already parsed, and node::validate, the one place that
+// refuses a setting or a combination of settings. tools/flags.hpp fills
+// a NodeConfig from the crowdml-server command line (each field's flag
+// is documented there) and refuses only what a NodeConfig cannot
+// express: malformed numbers and grammars, and a flag given where it
+// means nothing. node::Node::build (node/node.hpp) runs validate, then
+// composes the tiers.
 #pragma once
 
 #include <cstddef>
@@ -21,9 +24,9 @@ namespace crowdml::node {
 /// Replication role and plane (docs/REPLICATION.md).
 struct ReplicationSettings {
   std::string role = "leader";  ///< leader|follower
-  std::string leader_host;
-  std::uint16_t leader_port = 0;
-  std::string leader_addr;  ///< the raw host:port, for redirect nacks
+  /// A follower's leader, host:port: where it streams the WAL from, and
+  /// the target of its checkin redirect nacks.
+  std::string leader_addr;
   std::string ack_mode = "none";
   std::string epoch_dir;
   long long followers = 2;
@@ -113,5 +116,15 @@ struct NodeConfig {
   /// Lets nodes in one process keep separate counters.
   obs::MetricsRegistry* metrics = nullptr;
 };
+
+/// The first invalid setting or tier combination in `config`, or "" when
+/// it can be built. The message is the server's refusal text (without
+/// the "crowdml-server: " prefix).
+std::string validate(const NodeConfig& config);
+
+/// The cohort, survivor and round-timeout rules of secure aggregation,
+/// which a device (crowdml-device) and a node share; "" when `secagg` is
+/// off or valid.
+std::string validate(const SecAggSettings& secagg);
 
 }  // namespace crowdml::node

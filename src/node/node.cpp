@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "core/monitor.hpp"
+#include "net/messages.hpp"
 #include "opt/schedule.hpp"
 #include "replica/epoch.hpp"
 #include "shard/merge.hpp"
@@ -65,37 +66,6 @@ std::function<bool()> leader_commit(store::DurableStore& store,
 }
 
 }  // namespace
-
-std::string validate(const NodeConfig& c) {
-  const bool follower = c.repl.role == "follower";
-  if (c.secagg.enabled) {
-    // The whole threat model rests on the server never holding the fleet
-    // masking key (docs/PRIVACY.md) — refuse loudly rather than let an
-    // operator paste the device command line onto the server.
-    if (!c.secagg.key_file.empty())
-      return "--secagg-key-file is a device flag; the server must never "
-             "hold the fleet masking key";
-    if (follower)
-      return "--secagg-cohort is a leader feature (a follower refuses "
-             "checkins, so it cannot apply cohort sums)";
-    if (c.model_instances != 1)
-      return "--secagg-cohort requires --model-instances 1 (cohort sums "
-             "apply to one model)";
-  }
-  // A follower pool would need coordinated elections (ROADMAP.md), and
-  // the single-model --checkpoint format cannot describe k instances
-  // (per-instance state lives in the WAL namespaces instead).
-  if (c.model_instances > 1) {
-    if (follower)
-      return "--model-instances > 1 with --role follower is not supported "
-             "yet (pool failover is a coordinated-election problem; see "
-             "ROADMAP.md)";
-    if (!c.checkpoint.empty())
-      return "--checkpoint is single-model; use --wal-dir for a "
-             "--model-instances pool";
-  }
-  return "";
-}
 
 std::unique_ptr<Node> Node::build(NodeConfig config) {
   if (const std::string refusal = validate(config); !refusal.empty())
@@ -217,9 +187,11 @@ void Node::open_stores() {
       // A follower recovers from its local replica store, then streams
       // the leader's WAL (docs/REPLICATION.md); the engine redirects its
       // checkins to the leader until an election promotes it.
+      // validate() has already refused an unparseable address.
+      const auto leader = net::split_host_port(cfg_.repl.leader_addr);
       replica::FollowerOptions fopts;
-      fopts.leader_host = cfg_.repl.leader_host;
-      fopts.leader_port = cfg_.repl.leader_port;
+      fopts.leader_host = leader->first;
+      fopts.leader_port = leader->second;
       fopts.follower_id = static_cast<std::uint64_t>(cfg_.follower_id);
       fopts.store = store_opts_;
       fopts.epoch_dir = cfg_.repl.epoch_dir;
@@ -330,9 +302,9 @@ void Node::recover_or_refuse(
   durable_->attach(*server_);
 }
 
-// Leader shipping options, for one stream, a pool's k streams, or a
-// promoted follower. Leases: heartbeat at a third of the lease so one
-// lost frame never looks like a dead leader.
+// Leader shipping options, for a leader or a promoted follower. Leases:
+// heartbeat at a third of the lease so one lost frame never looks like a
+// dead leader.
 replica::ShipperOptions Node::shipper_options(std::uint16_t port,
                                               replica::ReplAckMode ack,
                                               std::size_t followers,
@@ -350,9 +322,10 @@ replica::ShipperOptions Node::shipper_options(std::uint16_t port,
 }
 
 // Replication plane of a leader (docs/REPLICATION.md): durably load or
-// bump the fencing epoch, then ship the WAL on a dedicated port — one
-// stream, or one per pool instance. The device-facing redirect target is
-// known only once the engine binds; serve() injects it.
+// bump the fencing epoch, then ship the WAL on a dedicated port. A pool
+// never gets here: validate() refuses pool plus replication. The
+// device-facing redirect target is known only once the engine binds;
+// serve() injects it.
 void Node::replicate() {
   if (follower_ || !cfg_.repl.repl_enabled) return;
   replica::EpochStore estore(cfg_.repl.epoch_dir.empty() ? wal_dir_
@@ -368,20 +341,6 @@ void Node::replicate() {
                       *replica::parse_repl_ack_mode(cfg_.repl.ack_mode),
                       static_cast<std::size_t>(cfg_.repl.followers),
                       cfg_.repl.lease_ms);
-  if (pool_) {
-    // One stream per instance on repl_port..repl_port+k-1, each tagged
-    // with its instance id; installs the pool's on_commit notify/quorum
-    // chain, so it precedes the pool's start in serve().
-    shipper_set_ =
-        std::make_unique<multimodel::PoolShipperSet>(*pool_, epoch, opts);
-    std::printf("replication: shipping %zu instance streams on "
-                "127.0.0.1:%u..%u (epoch %llu, ack=%s)\n",
-                pool_->instances(), shipper_set_->port(0),
-                shipper_set_->port(pool_->instances() - 1),
-                static_cast<unsigned long long>(epoch),
-                cfg_.repl.ack_mode.c_str());
-    return;
-  }
   shipper_ = std::make_unique<replica::LogShipper>(*server_, *durable_, epoch,
                                                    opts);
   std::printf("replication: shipping on 127.0.0.1:%u (epoch %llu, ack=%s, "
@@ -502,8 +461,6 @@ void Node::serve() {
   engine_ = std::make_unique<engine::EpollCrowdServer>(*instances_[0].server,
                                                        auth_, engine_cfg_);
   if (shipper_) shipper_->set_advertise_leader_addr(device_addr());
-  for (std::size_t i = 0; shipper_set_ && i < shipper_set_->size(); ++i)
-    shipper_set_->shipper(i).set_advertise_leader_addr(device_addr());
   if (follower_) {
     follower_->set_device_addr(device_addr());
     follower_->start();
@@ -698,7 +655,7 @@ std::uint64_t Node::iteration() const {
 // Teardown order: the follower and the merge director stop while the
 // engine still runs (a follower republishes through it; a mid-flight merge
 // round finishes against live appliers). The engine's shutdown drains
-// every applier, a pool's included, while the shippers still run, so the
+// every applier, a pool's included, while the shipper still runs, so the
 // last quorum waits complete; only then does the shipping plane stop. The
 // cohort, coordinator and shard service outlive the engine by declaration
 // order.
@@ -741,7 +698,6 @@ void Node::shutdown() {
   if (!cfg_.checkpoint.empty())
     std::printf("checkpoint saved to %s\n", cfg_.checkpoint.c_str());
   if (shipper_) shipper_->shutdown();
-  if (shipper_set_) shipper_set_->shutdown();
   if (!cfg_.metrics_out.empty()) {
     obs::write_metrics_file(metrics_, cfg_.metrics_out);
     std::printf("metrics written to %s\n", cfg_.metrics_out.c_str());

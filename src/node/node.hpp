@@ -3,8 +3,8 @@
 // draw-and-discard pool, the log shipper or a follower, the coordinator,
 // secure-aggregation cohorts, and the shard service and merge director.
 //
-// Node::build refuses invalid tier combinations in one place, then builds
-// the tiers in a fixed order; tick() runs the periodic step (a follower's
+// Node::build refuses what node::validate (node/config.hpp) refuses, then
+// builds the tiers in a fixed order; tick() runs the periodic step (a follower's
 // in-place promotion to leader, the portal report, compaction, metrics);
 // shutdown() runs the ordered teardown. crowdml-server is parse -> build
 // -> tick until a signal -> shutdown, and tests build the same node
@@ -23,7 +23,6 @@
 #include "core/server.hpp"
 #include "engine/epoll_server.hpp"
 #include "multimodel/instance_pool.hpp"
-#include "multimodel/pool_replication.hpp"
 #include "net/auth.hpp"
 #include "node/config.hpp"
 #include "obs/metrics.hpp"
@@ -36,11 +35,6 @@
 #include "store/durable_store.hpp"
 
 namespace crowdml::node {
-
-/// The first invalid tier combination in `config`, or "" when it can be
-/// built. The message is the server's refusal text (without the
-/// "crowdml-server: " prefix).
-std::string validate(const NodeConfig& config);
 
 class Node {
  public:
@@ -134,7 +128,6 @@ class Node {
   std::unique_ptr<shard::ShardService> shard_service_;
   std::unique_ptr<multimodel::ModelInstancePool> pool_;  // k > 1
   std::unique_ptr<replica::LogShipper> shipper_;
-  std::unique_ptr<multimodel::PoolShipperSet> shipper_set_;
   std::unique_ptr<replica::Follower> follower_;
   std::unique_ptr<engine::EpollCrowdServer> engine_;
   std::unique_ptr<shard::MergeDirector> merge_director_;

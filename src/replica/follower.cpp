@@ -287,7 +287,6 @@ Follower::ServeResult Follower::serve_connection(net::TcpConnection& conn) {
   // Resume an interrupted chunked snapshot at its first missing byte.
   hello.snapshot_version = pending_snap_version_;
   hello.snapshot_offset = static_cast<std::uint64_t>(pending_snap_.size());
-  hello.instance_id = opts_.instance_id;
   conn.set_deadline_ms(opts_.io_deadline_ms);
   if (!conn.send_frame(net::encode_frame(
           net::MessageType::kReplHello,
@@ -373,14 +372,13 @@ Follower::ServeResult Follower::serve_connection(net::TcpConnection& conn) {
         send_refusal_ack(conn);
         return ServeResult::kReconnect;
       }
-      // Crossed multimodel streams: records tagged for another pool
-      // instance must never enter this log. Drop and reconnect (the
-      // operator wired a port wrong; backoff keeps the spin bounded).
-      if (append.instance_id != opts_.instance_id) {
+      // Every stream is instance 0 (a pool does not replicate): records
+      // tagged for another instance are foreign and must never enter
+      // this log. Drop and reconnect (backoff keeps the spin bounded).
+      if (append.instance_id != 0) {
         if (opts_.trace)
           opts_.trace->event("repl_instance_mismatch",
-                             {{"batch_instance", append.instance_id},
-                              {"follower_instance", opts_.instance_id}});
+                             {{"batch_instance", append.instance_id}});
         return ServeResult::kReconnect;
       }
       detector_.observe();  // any authed leader frame is liveness

@@ -47,14 +47,6 @@ struct FollowerOptions {
   std::string leader_host = "127.0.0.1";
   std::uint16_t leader_port = 0;
   std::uint64_t follower_id = 0;
-  /// Multimodel pool instance this follower replicates (src/multimodel/;
-  /// 0 = single-model). Announced in the hello and verified against
-  /// every shipped batch, so crossed replication ports disconnect
-  /// instead of feeding instance i's records into instance j's log.
-  /// Replicating a pool also requires store.opaque_replay (the pool's
-  /// overwrite-record handler): shipped streams carry overwrite records,
-  /// which apply through that hook rather than handle_checkin.
-  std::uint64_t instance_id = 0;
   store::DurableStoreOptions store;
   /// Directory for the epoch register; "" = the store directory.
   std::string epoch_dir;

@@ -327,15 +327,14 @@ void LogShipper::session_loop(std::uint64_t session_id,
       fence(hello.epoch);
       break;
     }
-    // Multimodel: a follower replicating a different pool instance is a
-    // wiring error (ports crossed); drop it before any record crosses
-    // streams. Not a fencing event — the epochs may be perfectly valid.
-    if (hello.instance_id != opts_.instance_id) {
+    // Every stream is instance 0 (a pool does not replicate): a hello
+    // tagged for another instance is foreign input; drop it before any
+    // record ships. Not a fencing event — its epoch may be valid.
+    if (hello.instance_id != 0) {
       if (opts_.trace)
         opts_.trace->event("repl_instance_mismatch",
                            {{"follower_id", hello.follower_id},
-                            {"hello_instance", hello.instance_id},
-                            {"shipper_instance", opts_.instance_id}});
+                            {"hello_instance", hello.instance_id}});
       break;
     }
     follower_id = hello.follower_id;
@@ -447,7 +446,6 @@ void LogShipper::session_loop(std::uint64_t session_id,
         net::ReplAppendMessage append;
         append.epoch = epoch_;
         append.want_ack = want_ack;
-        append.instance_id = opts_.instance_id;
         append.records.reserve(batch.records.size());
         for (auto& rec : batch.records)
           append.records.push_back({rec.seq, std::move(rec.payload)});

@@ -60,11 +60,6 @@ struct ShipperOptions {
   std::size_t snapshot_max_bytes_per_sec = 0;
   /// Shared HMAC key for all Repl* frames (empty = unauthenticated).
   ReplKey key;
-  /// Multimodel pool instance this shipper's WAL stream belongs to
-  /// (src/multimodel/; 0 = single-model). Stamped into every ReplAppend
-  /// and verified against each hello: a follower for instance j is
-  /// dropped rather than fed instance i's records.
-  std::uint64_t instance_id = 0;
   obs::MetricsRegistry* metrics = nullptr;  ///< null = default_registry()
   obs::TraceSink* trace = nullptr;          ///< null disables
 };

@@ -423,7 +423,7 @@ WriteAheadLog::~WriteAheadLog() {
 
 ReplayStats WriteAheadLog::open_and_replay(std::uint64_t from_seq,
                                            const Apply& apply) {
-  std::lock_guard lock(mu_);
+  std::unique_lock lock(mu_);
   if (opened_) throw WalError("open_and_replay called twice");
 
   std::vector<std::string> files;
@@ -498,7 +498,12 @@ ReplayStats WriteAheadLog::open_and_replay(std::uint64_t from_seq,
                        " but the snapshot covers only " +
                        std::to_string(from_seq));
       if (rec.seq > from_seq) {
+        // `apply` takes the server's lock (Server::handle_checkin); a live
+        // checkin holds that lock while it appends here. Calling out
+        // unlocked keeps one lock order: server, then log.
+        lock.unlock();
         apply(rec.seq, rec.payload);
+        lock.lock();
         ++stats.records_applied;
       } else {
         ++stats.records_skipped;

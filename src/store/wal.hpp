@@ -172,7 +172,8 @@ class WriteAheadLog {
   /// Scan segments in seq order, call `apply` for every record with
   /// seq > from_seq, truncate a torn tail (final segment only), and leave
   /// the log positioned for appending. Must be called exactly once,
-  /// before any append. Throws WalError on mid-log corruption.
+  /// before any append; `apply` runs without the log's lock held. Throws
+  /// WalError on mid-log corruption.
   ReplayStats open_and_replay(std::uint64_t from_seq, const Apply& apply);
 
   /// Append one record and make it durable per the fsync policy before

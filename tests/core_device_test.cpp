@@ -58,6 +58,40 @@ TEST(Device, MaxBufferDropsSamples) {
   EXPECT_EQ(dev.dropped_samples(), 1);
 }
 
+// Routine 1 is the device's input boundary: a sample with the wrong
+// feature count or a label outside [0, C) is refused and counted, never
+// buffered, so Routine 2 cannot index past its label counts.
+TEST(Device, RefusesSamplesThatDoNotFitTheModel) {
+  models::MulticlassLogisticRegression model(3, 4, 0.0);
+  Device dev(basic_config(4), model, rng::Engine(1));
+  rng::Engine eng(5);
+  const Sample good = make_sample(eng, 4, 3);
+  const Sample refused[] = {
+      make_sample(eng, 8, 3),        // too many features
+      make_sample(eng, 2, 3),        // too few features
+      Sample(good.x, 3.0),           // label == C
+      Sample(good.x, -1.0),          // negative label
+      Sample(good.x, 1.5),           // not a class index
+      Sample(good.x, std::nan("")),  // no label at all
+  };
+  for (const Sample& s : refused) EXPECT_FALSE(dev.on_sample(s));
+  EXPECT_EQ(dev.buffered(), 0u);
+  EXPECT_EQ(dev.malformed_samples(), 6);
+  EXPECT_EQ(dev.dropped_samples(), 0);
+
+  // The device keeps working on the samples that fit.
+  for (int i = 0; i < 4; ++i)
+    EXPECT_TRUE(dev.on_sample(make_sample(eng, 4, 3)));
+  ASSERT_TRUE(dev.wants_checkout());
+  dev.begin_checkout();
+  const auto result =
+      dev.compute_checkin(linalg::Vector(model.param_dim(), 0.0), 0);
+  EXPECT_EQ(result.message.ny_hat.size(), 3u);
+  long long labels = 0;
+  for (std::int64_t n : result.message.ny_hat) labels += n;
+  EXPECT_EQ(labels, 4);
+}
+
 TEST(Device, CheckoutLifecycle) {
   models::MulticlassLogisticRegression model(3, 4, 0.0);
   Device dev(basic_config(1), model, rng::Engine(1));

@@ -102,6 +102,38 @@ TEST(Server, RejectsWrongLabelCountDimension) {
       s.handle_checkin(checkin(1, {0.0, 0.0, 0.0}, 1, 0, {1, 0, 0})).ok);
 }
 
+// Routine 2 refuses a checkin whose vectors do not have the model's
+// shape before touching any state: the ack names the mismatch, and the
+// version, parameters and statistics stay as they were.
+TEST(Server, ShapeRefusalsLeaveStateUntouched) {
+  Server s(basic_config(3, 2), sgd(0.5), rng::Engine(9));
+  ASSERT_TRUE(s.handle_checkin(checkin(1, {2.0, 0.0, -2.0})).ok);
+  const linalg::Vector before = s.parameters();
+  const struct {
+    net::CheckinMessage msg;
+    const char* reason;
+  } cases[] = {
+      {checkin(2, {1.0, 1.0}), "gradient dimension mismatch"},
+      {checkin(2, {1.0, 1.0, 1.0, 1.0}), "gradient dimension mismatch"},
+      {checkin(2, {}), "gradient dimension mismatch"},
+      {checkin(2, {1.0, 1.0, 1.0}, 1, 0, {1}),
+       "label count dimension mismatch"},
+      {checkin(2, {1.0, 1.0, 1.0}, 1, 0, {1, 0, 0}),
+       "label count dimension mismatch"},
+  };
+  long long rejected = 0;
+  for (const auto& tc : cases) {
+    const net::AckMessage ack = s.handle_checkin(tc.msg);
+    EXPECT_FALSE(ack.ok);
+    EXPECT_EQ(ack.reason, tc.reason);
+    EXPECT_EQ(s.rejected_checkins(), ++rejected);
+    EXPECT_EQ(s.version(), 1u);
+    EXPECT_EQ(s.parameters(), before);
+    EXPECT_EQ(s.device_stats(2).checkins, 0);
+  }
+  EXPECT_EQ(s.total_samples(), 1);
+}
+
 TEST(Server, AccumulatesPerDeviceStats) {
   Server s(basic_config(), sgd(), rng::Engine(9));
   s.handle_checkin(checkin(7, {0.0, 0.0, 0.0}, 10, 2, {6, 4}));

@@ -486,8 +486,8 @@ TEST(Engine, AckedCheckinsAreDurableAfterRecovery) {
 }
 
 TEST(Engine, GroupCommitFailureNacksWholeBatch) {
-  models::MulticlassLogisticRegression model(2, 4, 0.0);
-  core::Server server(server_config(model.param_dim(), 2), sgd(0.1),
+  models::MulticlassLogisticRegression model(3, 8, 0.0);  // small_dataset's
+  core::Server server(server_config(model.param_dim(), 3), sgd(0.1),
                       rng::Engine(1));
   net::AuthRegistry registry(rng::Engine(2));
   TempDir dir;

@@ -1,9 +1,13 @@
-// Tests for the CLI flag parser used by the tools.
+// Tests for the CLI flag parser used by the tools, and for the
+// crowdml-server command lines it feeds to node::validate.
 #include <gtest/gtest.h>
 
+#include "net/messages.hpp"
 #include "tools/flags.hpp"
 
 using crowdml::tools::Flags;
+namespace net = crowdml::net;
+namespace node = crowdml::node;
 
 namespace {
 
@@ -72,159 +76,164 @@ TEST(Flags, EmptyValueViaEquals) {
   EXPECT_EQ(f.get("name", "x"), "");
 }
 
-// --------------------------------------------- replication flag bundle
-
-using crowdml::tools::ReplicaFlags;
-using crowdml::tools::parse_replica_flags;
+// ------------------------------------------------ server command lines
+//
+// A crowdml-server command line passes two gates: parse_server_flags
+// (numbers, grammars, flags given where they mean nothing) and then
+// node::validate (every rule on the parsed values), as Node::build runs
+// it.
 
 namespace {
 
-ReplicaFlags replica(std::vector<std::string> args) {
-  return parse_replica_flags(parse(std::move(args)));
+node::NodeConfig server(std::vector<std::string> args) {
+  return crowdml::tools::parse_server_flags(parse(std::move(args)));
+}
+
+// The refusal for a crowdml-server command line ("" when valid).
+std::string server_refusal(std::vector<std::string> args) {
+  try {
+    return node::validate(server(std::move(args)));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
 }
 
 }  // namespace
 
 TEST(ReplicaFlags, LeaderDefaultsToNoReplication) {
-  const ReplicaFlags r = replica({});
-  EXPECT_TRUE(r.error.empty()) << r.error;
-  EXPECT_EQ(r.role, "leader");
-  EXPECT_FALSE(r.repl_enabled);
+  EXPECT_EQ(server_refusal({}), "");
+  const node::NodeConfig c = server({});
+  EXPECT_EQ(c.repl.role, "leader");
+  EXPECT_FALSE(c.repl.repl_enabled);
 }
 
 TEST(ReplicaFlags, LeaderQuorumSetup) {
-  const ReplicaFlags r =
-      replica({"--wal-dir=wal", "--repl-ack=quorum", "--repl-followers=3",
-               "--repl-port=7000"});
-  EXPECT_TRUE(r.error.empty()) << r.error;
-  EXPECT_TRUE(r.repl_enabled);
-  EXPECT_EQ(r.ack_mode, "quorum");
-  EXPECT_EQ(r.followers, 3);
-  EXPECT_EQ(r.repl_port, 7000);
+  const std::vector<std::string> args = {"--wal-dir=wal", "--repl-ack=quorum",
+                                         "--repl-followers=3",
+                                         "--repl-port=7000"};
+  EXPECT_EQ(server_refusal(args), "");
+  const node::NodeConfig c = server(args);
+  EXPECT_TRUE(c.repl.repl_enabled);
+  EXPECT_EQ(c.repl.ack_mode, "quorum");
+  EXPECT_EQ(c.repl.followers, 3);
+  EXPECT_EQ(c.repl.repl_port, 7000);
 }
 
 TEST(ReplicaFlags, FollowerParsesLeaderAddr) {
-  const ReplicaFlags r =
-      replica({"--role=follower", "--leader-addr=10.1.2.3:9100",
-               "--wal-dir=replica"});
-  EXPECT_TRUE(r.error.empty()) << r.error;
-  EXPECT_EQ(r.leader_host, "10.1.2.3");
-  EXPECT_EQ(r.leader_port, 9100);
-  EXPECT_EQ(r.leader_addr, "10.1.2.3:9100");
+  const std::vector<std::string> args = {
+      "--role=follower", "--leader-addr=10.1.2.3:9100", "--wal-dir=replica"};
+  EXPECT_EQ(server_refusal(args), "");
+  const node::NodeConfig c = server(args);
+  EXPECT_EQ(c.repl.leader_addr, "10.1.2.3:9100");
+  // The split the node makes when it starts the follower.
+  const auto hp = net::split_host_port(c.repl.leader_addr);
+  ASSERT_TRUE(hp);
+  EXPECT_EQ(hp->first, "10.1.2.3");
+  EXPECT_EQ(hp->second, 9100);
 }
 
 TEST(ReplicaFlags, FollowerWithoutLeaderAddrRejected) {
-  const ReplicaFlags r =
-      replica({"--role=follower", "--wal-dir=replica"});
-  EXPECT_FALSE(r.error.empty());
-  EXPECT_NE(r.error.find("--leader-addr"), std::string::npos) << r.error;
+  const std::string r = server_refusal({"--role=follower", "--wal-dir=replica"});
+  EXPECT_FALSE(r.empty());
+  EXPECT_NE(r.find("--leader-addr"), std::string::npos) << r;
 }
 
 TEST(ReplicaFlags, FollowerLeaderAddrMalformedRejected) {
   for (const char* addr : {"nohost", "host:", ":9100", "host:0",
                            "host:65536", "host:abc", "host:-1"}) {
-    const ReplicaFlags r =
-        replica({"--role=follower", std::string("--leader-addr=") + addr,
-                 "--wal-dir=replica"});
-    EXPECT_FALSE(r.error.empty()) << addr;
+    EXPECT_FALSE(server_refusal({"--role=follower",
+                                 std::string("--leader-addr=") + addr,
+                                 "--wal-dir=replica"})
+                     .empty())
+        << addr;
   }
   // IPv6-ish / multi-colon hosts split on the LAST colon.
-  const ReplicaFlags r =
-      replica({"--role=follower", "--leader-addr=fe80::1:9100",
-               "--wal-dir=replica"});
-  EXPECT_TRUE(r.error.empty()) << r.error;
-  EXPECT_EQ(r.leader_host, "fe80::1");
-  EXPECT_EQ(r.leader_port, 9100);
+  const std::vector<std::string> args = {
+      "--role=follower", "--leader-addr=fe80::1:9100", "--wal-dir=replica"};
+  EXPECT_EQ(server_refusal(args), "");
+  const auto hp = net::split_host_port(server(args).repl.leader_addr);
+  ASSERT_TRUE(hp);
+  EXPECT_EQ(hp->first, "fe80::1");
+  EXPECT_EQ(hp->second, 9100);
 }
 
 TEST(ReplicaFlags, FollowerRequiresWalDirAndEpollEngine) {
-  EXPECT_FALSE(replica({"--role=follower", "--leader-addr=h:1"})
-                   .error.empty());
+  EXPECT_FALSE(server_refusal({"--role=follower", "--leader-addr=h:1"}).empty());
 }
 
 TEST(ReplicaFlags, FollowerRejectsLeaderOnlyFlags) {
   for (const char* flag : {"--repl-ack=async", "--repl-port=7000",
                            "--repl-followers=2", "--promote-on-start"}) {
-    const ReplicaFlags r =
-        replica({"--role=follower", "--leader-addr=h:1", "--wal-dir=replica",
-                 flag});
-    EXPECT_FALSE(r.error.empty()) << flag;
+    EXPECT_FALSE(server_refusal({"--role=follower", "--leader-addr=h:1",
+                                 "--wal-dir=replica", flag})
+                     .empty())
+        << flag;
   }
 }
 
 TEST(ReplicaFlags, LeaderRejectsLeaderAddr) {
-  const ReplicaFlags r = replica({"--leader-addr=h:1"});
-  EXPECT_FALSE(r.error.empty());
+  EXPECT_FALSE(server_refusal({"--leader-addr=h:1"}).empty());
 }
 
 TEST(ReplicaFlags, ReplicationRequiresWalDirAndEpoll) {
-  EXPECT_FALSE(replica({"--repl-ack=async"}).error.empty());
+  EXPECT_FALSE(server_refusal({"--repl-ack=async"}).empty());
 }
 
 TEST(ReplicaFlags, PromoteOnStartEnablesReplication) {
-  const ReplicaFlags r =
-      replica({"--promote-on-start", "--wal-dir=wal"});
-  EXPECT_TRUE(r.error.empty()) << r.error;
-  EXPECT_TRUE(r.repl_enabled);
-  EXPECT_TRUE(r.promote_on_start);
+  const std::vector<std::string> args = {"--promote-on-start", "--wal-dir=wal"};
+  EXPECT_EQ(server_refusal(args), "");
+  const node::NodeConfig c = server(args);
+  EXPECT_TRUE(c.repl.repl_enabled);
+  EXPECT_TRUE(c.repl.promote_on_start);
 }
 
 TEST(ReplicaFlags, AdvertiseHostDefaultsAndValidation) {
   // Default suits single-host tests; multi-host deployments override it
   // so redirects and vote repl_addrs point somewhere reachable.
-  EXPECT_EQ(replica({}).advertise_host, "127.0.0.1");
-  const ReplicaFlags r =
-      replica({"--advertise-host=10.0.0.7", "--repl-ack=async",
-               "--wal-dir=wal"});
-  EXPECT_TRUE(r.error.empty()) << r.error;
-  EXPECT_EQ(r.advertise_host, "10.0.0.7");
+  EXPECT_EQ(server({}).repl.advertise_host, "127.0.0.1");
+  const std::vector<std::string> leader = {
+      "--advertise-host=10.0.0.7", "--repl-ack=async", "--wal-dir=wal"};
+  EXPECT_EQ(server_refusal(leader), "");
+  EXPECT_EQ(server(leader).repl.advertise_host, "10.0.0.7");
 
   // A bare host only: the advertised ports are the bound ones, so a
   // host:port here would silently double up.
-  EXPECT_FALSE(replica({"--advertise-host=10.0.0.7:9100"}).error.empty());
-  EXPECT_FALSE(replica({"--advertise-host="}).error.empty());
+  EXPECT_FALSE(server_refusal({"--advertise-host=10.0.0.7:9100"}).empty());
+  EXPECT_FALSE(server_refusal({"--advertise-host="}).empty());
 
   // Valid for both roles.
-  const ReplicaFlags f =
-      replica({"--role=follower", "--leader-addr=h:1", "--wal-dir=replica",
-               "--advertise-host=replica-b"});
-  EXPECT_TRUE(f.error.empty()) << f.error;
-  EXPECT_EQ(f.advertise_host, "replica-b");
+  const std::vector<std::string> follower = {
+      "--role=follower", "--leader-addr=h:1", "--wal-dir=replica",
+      "--advertise-host=replica-b"};
+  EXPECT_EQ(server_refusal(follower), "");
+  EXPECT_EQ(server(follower).repl.advertise_host, "replica-b");
 }
 
 TEST(ReplicaFlags, UnknownRoleAndAckModeRejected) {
-  EXPECT_FALSE(replica({"--role=observer"}).error.empty());
-  EXPECT_FALSE(replica({"--repl-ack=sync", "--wal-dir=wal"}).error.empty());
-  EXPECT_FALSE(replica({"--repl-ack=quorum", "--repl-followers=0",
-                        "--wal-dir=wal"})
-                   .error.empty());
+  EXPECT_FALSE(server_refusal({"--role=observer"}).empty());
+  EXPECT_FALSE(server_refusal({"--repl-ack=sync", "--wal-dir=wal"}).empty());
+  EXPECT_FALSE(server_refusal({"--repl-ack=quorum", "--repl-followers=0",
+                               "--wal-dir=wal"})
+                   .empty());
 }
 
 // ------------------------------------------------------------ CoordFlags
 
-namespace {
-
-crowdml::tools::CoordFlags coordf(std::vector<std::string> args) {
-  return crowdml::tools::parse_coord_flags(parse(std::move(args)));
-}
-
-}  // namespace
-
 TEST(CoordFlags, DisabledByDefault) {
-  const auto c = coordf({});
-  EXPECT_TRUE(c.error.empty()) << c.error;
-  EXPECT_FALSE(c.enabled);
+  EXPECT_EQ(server_refusal({}), "");
+  const node::NodeConfig c = server({});
+  EXPECT_FALSE(c.coord.enabled);
   // Off means the default class table only.
-  EXPECT_EQ(c.classes.size(), 1u);
+  EXPECT_EQ(c.coord.classes.size(), 1u);
 }
 
 TEST(CoordFlags, FullParse) {
-  const auto c = coordf({"--coord-steering",
-                         "--coord-classes=fast:4,slow:2,flaky:1",
-                         "--coord-target-utilization=0.8",
-                         "--coord-min-hint-ms=10", "--coord-max-hint-ms=60000",
-                         "--coord-init-rate=500"});
-  ASSERT_TRUE(c.error.empty()) << c.error;
+  const std::vector<std::string> args = {
+      "--coord-steering", "--coord-classes=fast:4,slow:2,flaky:1",
+      "--coord-target-utilization=0.8", "--coord-min-hint-ms=10",
+      "--coord-max-hint-ms=60000", "--coord-init-rate=500"};
+  ASSERT_EQ(server_refusal(args), "");
+  const node::SteeringSettings c = server(args).coord;
   EXPECT_TRUE(c.enabled);
   EXPECT_EQ(c.classes.size(), 4u);  // three declared + default
   EXPECT_DOUBLE_EQ(c.target_utilization, 0.8);
@@ -234,71 +243,54 @@ TEST(CoordFlags, FullParse) {
 }
 
 TEST(CoordFlags, CoordFlagsWithoutSteeringRejected) {
-  EXPECT_FALSE(coordf({"--coord-classes=fast:1"}).error.empty());
-  EXPECT_FALSE(coordf({"--coord-init-rate=100"}).error.empty());
-  EXPECT_FALSE(coordf({"--coord-max-hint-ms=1000"}).error.empty());
+  EXPECT_FALSE(server_refusal({"--coord-classes=fast:1"}).empty());
+  EXPECT_FALSE(server_refusal({"--coord-init-rate=100"}).empty());
+  EXPECT_FALSE(server_refusal({"--coord-max-hint-ms=1000"}).empty());
 }
 
 TEST(CoordFlags, SteeringRequiresEpollLeader) {
-  EXPECT_FALSE(
-      coordf({"--coord-steering", "--role=follower"}).error.empty());
-  EXPECT_TRUE(coordf({"--coord-steering"}).error.empty());
+  EXPECT_FALSE(server_refusal({"--coord-steering", "--role=follower"}).empty());
+  EXPECT_EQ(server_refusal({"--coord-steering"}), "");
   // Pooled serving steers too: one coordinator per instance applier.
-  EXPECT_TRUE(
-      coordf({"--coord-steering", "--model-instances=4"}).error.empty());
+  EXPECT_EQ(server_refusal({"--coord-steering", "--model-instances=4"}), "");
 }
 
 TEST(CoordFlags, MalformedClassSpecsRejected) {
   for (const char* spec :
        {"fast", "fast:0", "fast:-1", "fast:abc", "default:2", "a:1,a:2",
         "a:1,", "fa st:1"}) {
-    const auto c = coordf(
+    const std::string r = server_refusal(
         {"--coord-steering", std::string("--coord-classes=") + spec});
-    EXPECT_FALSE(c.error.empty()) << "accepted: " << spec;
-    EXPECT_EQ(c.error.rfind("--coord-classes:", 0), 0u) << c.error;
+    EXPECT_FALSE(r.empty()) << "accepted: " << spec;
+    EXPECT_EQ(r.rfind("--coord-classes:", 0), 0u) << r;
   }
 }
 
 TEST(CoordFlags, NumericBoundsEnforced) {
-  const std::vector<std::string> base = {"--coord-steering"};
-  auto with = [&](const std::string& extra) {
-    auto args = base;
-    args.push_back(extra);
-    return coordf(args);
+  auto with = [](const std::string& extra) {
+    return server_refusal({"--coord-steering", extra});
   };
   // Utilization is a fraction of measured capacity.
-  EXPECT_FALSE(with("--coord-target-utilization=0").error.empty());
-  EXPECT_FALSE(with("--coord-target-utilization=-0.5").error.empty());
-  EXPECT_FALSE(with("--coord-target-utilization=1.5").error.empty());
-  EXPECT_TRUE(with("--coord-target-utilization=1.0").error.empty());
+  EXPECT_FALSE(with("--coord-target-utilization=0").empty());
+  EXPECT_FALSE(with("--coord-target-utilization=-0.5").empty());
+  EXPECT_FALSE(with("--coord-target-utilization=1.5").empty());
+  EXPECT_EQ(with("--coord-target-utilization=1.0"), "");
   // Hints: >= 1ms, min <= max, max below the hour ceiling.
-  EXPECT_FALSE(with("--coord-min-hint-ms=0").error.empty());
-  EXPECT_FALSE(with("--coord-min-hint-ms=-5").error.empty());
-  EXPECT_FALSE(with("--coord-max-hint-ms=1").error.empty());  // < min (5)
-  EXPECT_FALSE(with("--coord-max-hint-ms=3600000").error.empty());
+  EXPECT_FALSE(with("--coord-min-hint-ms=0").empty());
+  EXPECT_FALSE(with("--coord-min-hint-ms=-5").empty());
+  EXPECT_FALSE(with("--coord-max-hint-ms=1").empty());  // < min (5)
+  EXPECT_FALSE(with("--coord-max-hint-ms=3600000").empty());
   // Rates must be positive.
-  EXPECT_FALSE(with("--coord-init-rate=0").error.empty());
-  EXPECT_FALSE(with("--coord-init-rate=-100").error.empty());
-  // Malformed numerics are an error, not a silent default.
-  EXPECT_FALSE(with("--coord-init-rate=fast").error.empty());
-  EXPECT_FALSE(with("--coord-min-hint-ms=ten").error.empty());
+  EXPECT_FALSE(with("--coord-init-rate=0").empty());
+  EXPECT_FALSE(with("--coord-init-rate=-100").empty());
+  // Malformed numerics are refused like every other flag's, naming it.
+  EXPECT_EQ(with("--coord-init-rate=fast"),
+            "--coord-init-rate: expected a number, got 'fast'");
+  EXPECT_EQ(with("--coord-min-hint-ms=ten"),
+            "--coord-min-hint-ms: expected an integer, got 'ten'");
 }
 
 // ------------------------------------------------------ server flags
-
-namespace {
-
-// The refusal for a crowdml-server command line ("" when valid).
-std::string server_refusal(std::vector<std::string> args) {
-  try {
-    crowdml::tools::parse_server_flags(parse(std::move(args)));
-  } catch (const std::invalid_argument& e) {
-    return e.what();
-  }
-  return "";
-}
-
-}  // namespace
 
 TEST(ServerFlags, MalformedNumberNamesTheFlag) {
   EXPECT_EQ(server_refusal({"--port", "abc"}),
@@ -337,8 +329,7 @@ TEST(ServerFlags, CountsBelowOneRefused) {
     EXPECT_EQ(server_refusal({std::string("--") + flag + "=-3"}),
               std::string("--") + flag + ": must be >= 1, got -3");
   }
-  const auto cfg = crowdml::tools::parse_server_flags(
-      parse({"--io-threads=2", "--model-instances=4"}));
+  const auto cfg = server({"--io-threads=2", "--model-instances=4"});
   EXPECT_EQ(cfg.io_threads, 2u);
   EXPECT_EQ(cfg.model_instances, 4u);
 }

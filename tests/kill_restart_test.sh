@@ -18,6 +18,10 @@ cd "$WORK"
     --shard-prefix dev_ --seed 42
 
 start_server() {
+  # The log exists before the polling loops read it: the background
+  # server may not have opened it yet, and a failed sed in $(...) ends
+  # this set -e script.
+  : >> "$3"
   # --auth-seed is fixed, so re-enrollment after the crash regenerates
   # the exact same device keys the devices are already holding.
   "$BUILD_DIR/tools/crowdml-server" --port "$1" --classes 10 --dim 50 \

@@ -2,8 +2,7 @@
 // single-applier engine path (state, WAL bytes, cross-recovery),
 // per-instance crash-recovery determinism (recovered pool byte-equal to
 // a never-crashed witness, overwrite replay included), seeded draw /
-// route / discard distribution sanity, and follower pool reconstruction
-// byte-for-byte over per-instance replication streams.
+// route / discard distribution sanity, and per-instance pace steering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +19,6 @@
 #include "core/protocol.hpp"
 #include "core/server.hpp"
 #include "multimodel/instance_pool.hpp"
-#include "multimodel/pool_replication.hpp"
 #include "net/auth.hpp"
 #include "opt/schedule.hpp"
 #include "store/durable_store.hpp"
@@ -396,56 +394,4 @@ TEST(InstancePool, NoCoordinatorFactoryLeavesAckBytesHintFree) {
     EXPECT_EQ(response,
               net::encode_frame(net::MessageType::kAck, ack.serialize()));
   }
-}
-
-// ------------------------------------------- follower reconstruction
-
-TEST(InstancePoolRepl, FollowerPoolReconstructsByteForByte) {
-  TempDir leader_dir, follower_dir;
-  net::AuthRegistry auth(rng::Engine(2));
-  std::vector<net::Bytes> frames;
-  rng::Engine eng(45);
-  for (int i = 0; i < 40; ++i) frames.push_back(make_checkin(auth.enroll(), eng));
-
-  multimodel::PoolOptions popts;
-  popts.instances = 2;
-  popts.seed = 5;
-  popts.wal_dir = leader_dir.path;
-  multimodel::ModelInstancePool pool(auth, factory(), popts);
-
-  replica::ShipperOptions base;
-  base.port = 0;  // every stream on its own ephemeral port
-  multimodel::PoolShipperSet shippers(pool, /*epoch=*/1, base);
-  pool.start();
-
-  std::vector<std::uint16_t> ports;
-  for (std::size_t i = 0; i < shippers.size(); ++i)
-    ports.push_back(shippers.port(i));
-  multimodel::PoolFollowerSet followers(factory(), 2, follower_dir.path,
-                                        "127.0.0.1", ports,
-                                        replica::FollowerOptions{});
-  followers.start();
-
-  EXPECT_EQ(feed_checkins(pool, frames), 40);
-
-  // Every instance's stream converges independently; wait for each
-  // follower to reach its leader instance's version.
-  ASSERT_TRUE(wait_until([&] {
-    for (std::size_t i = 0; i < 2; ++i)
-      if (followers.follower(i).applied_seq() < pool.server(i).version())
-        return false;
-    return true;
-  })) << "followers did not catch up";
-  EXPECT_FALSE(followers.fatal());
-
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(followers.server(i).version(), pool.server(i).version())
-        << "instance " << i;
-    EXPECT_EQ(followers.server(i).parameters(), pool.server(i).parameters())
-        << "instance " << i;
-  }
-
-  followers.shutdown();
-  shippers.shutdown();
-  pool.shutdown();
 }

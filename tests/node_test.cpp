@@ -19,6 +19,7 @@
 #include "net/tcp.hpp"
 #include "node/node.hpp"
 #include "rng/engine.hpp"
+#include "shard/shard_map.hpp"
 
 using namespace crowdml;
 
@@ -93,17 +94,179 @@ std::optional<net::AckMessage> send_checkin(net::TcpConnection& conn,
 
 }  // namespace
 
+// node::validate is the one validity matrix: every refusal crowdml-server
+// prints for a setting or a combination of settings is reachable from a
+// bare NodeConfig, with the server's text.
 TEST(Node, RefusesInvalidTierCombinationsWithTodaysText) {
   struct Case {
     const char* name;
     std::function<void(node::NodeConfig&)> set;
     const char* refusal;
   };
+  const auto follower = [](node::NodeConfig& c) {
+    c.repl.role = "follower";
+    c.repl.leader_addr = "127.0.0.1:9100";
+    c.wal_dir = "replica";
+  };
+  const auto replicated = [](node::NodeConfig& c) {
+    c.repl.repl_enabled = true;
+    c.wal_dir = "wal";
+  };
+  const auto steering = [](node::NodeConfig& c) { c.coord.enabled = true; };
   const auto secagg = [](node::NodeConfig& c) {
     c.secagg.enabled = true;
     c.secagg.cohort = 4;
   };
+  const auto sharded = [](node::NodeConfig& c) {
+    c.shard.enabled = true;
+    c.shard.map = *shard::ShardMap::parse("127.0.0.1:9000,127.0.0.1:9001");
+    c.shard.shard_id = 1;
+    c.wal_dir = "wal";
+  };
+  // Each base alone is a valid node; the cases below break one rule each.
+  using Setter = std::function<void(node::NodeConfig&)>;
+  for (const Setter& base :
+       {Setter(follower), Setter(replicated), Setter(steering), Setter(secagg),
+        Setter(sharded)}) {
+    node::NodeConfig cfg;
+    base(cfg);
+    EXPECT_EQ(node::validate(cfg), "");
+  }
   const Case cases[] = {
+      // Replication role and plane.
+      {"unknown role", [](node::NodeConfig& c) { c.repl.role = "observer"; },
+       "unknown --role observer (leader|follower)"},
+      {"unknown ack mode",
+       [&](node::NodeConfig& c) {
+         replicated(c);
+         c.repl.ack_mode = "sync";
+       },
+       "unknown --repl-ack sync (none|async|quorum)"},
+      {"advertise host with a port",
+       [](node::NodeConfig& c) { c.repl.advertise_host = "10.0.0.7:9100"; },
+       "--advertise-host takes a bare host (ports are the bound ones), got "
+       "'10.0.0.7:9100'"},
+      {"empty advertise host",
+       [](node::NodeConfig& c) { c.repl.advertise_host = ""; },
+       "--advertise-host takes a bare host (ports are the bound ones), got "
+       "''"},
+      {"follower without a leader address",
+       [&](node::NodeConfig& c) {
+         follower(c);
+         c.repl.leader_addr = "";
+       },
+       "--role follower requires --leader-addr host:port"},
+      {"leader address without a port",
+       [&](node::NodeConfig& c) {
+         follower(c);
+         c.repl.leader_addr = "nohost";
+       },
+       "--leader-addr must be host:port, got nohost"},
+      {"leader address port out of range",
+       [&](node::NodeConfig& c) {
+         follower(c);
+         c.repl.leader_addr = "host:65536";
+       },
+       "--leader-addr port out of range in host:65536"},
+      {"follower without a WAL",
+       [&](node::NodeConfig& c) {
+         follower(c);
+         c.wal_dir = "";
+       },
+       "--role follower requires --wal-dir (the replica's log)"},
+      {"negative election timeout",
+       [&](node::NodeConfig& c) {
+         follower(c);
+         c.repl.election_timeout_ms = -1;
+       },
+       "--election-timeout-ms must be >= 0"},
+      {"negative read lag",
+       [&](node::NodeConfig& c) {
+         follower(c);
+         c.repl.max_read_lag = -1;
+       },
+       "--max-read-lag must be >= 0"},
+      {"leader with a leader address",
+       [](node::NodeConfig& c) { c.repl.leader_addr = "127.0.0.1:9100"; },
+       "--leader-addr is a follower flag (this node IS the leader)"},
+      {"lease below 1 ms",
+       [&](node::NodeConfig& c) {
+         replicated(c);
+         c.repl.lease_ms = 0;
+       },
+       "--lease-ms must be >= 1"},
+      {"replication without a WAL",
+       [&](node::NodeConfig& c) {
+         replicated(c);
+         c.wal_dir = "";
+       },
+       "replication requires --wal-dir (the WAL is the shipping buffer)"},
+      {"quorum without followers",
+       [&](node::NodeConfig& c) {
+         replicated(c);
+         c.repl.ack_mode = "quorum";
+         c.repl.followers = 0;
+       },
+       "--repl-ack quorum requires --repl-followers >= 1"},
+      // Pace steering.
+      {"steering on a follower",
+       [&](node::NodeConfig& c) {
+         follower(c);
+         steering(c);
+       },
+       "--coord-steering is a leader feature (a follower refuses checkins, "
+       "so it has no applier to steer toward)"},
+      {"utilization outside (0, 1]",
+       [&](node::NodeConfig& c) {
+         steering(c);
+         c.coord.target_utilization = 1.5;
+       },
+       "--coord-target-utilization must be in (0, 1]"},
+      {"minimum hint below 1 ms",
+       [&](node::NodeConfig& c) {
+         steering(c);
+         c.coord.min_hint_ms = 0;
+       },
+       "--coord-min-hint-ms must be >= 1"},
+      {"maximum hint below the minimum",
+       [&](node::NodeConfig& c) {
+         steering(c);
+         c.coord.max_hint_ms = 1;
+       },
+       "--coord-max-hint-ms must be >= --coord-min-hint-ms"},
+      {"maximum hint of an hour",
+       [&](node::NodeConfig& c) {
+         steering(c);
+         c.coord.max_hint_ms = 3'600'000;
+       },
+       "--coord-max-hint-ms must be < 3600000 (one hour; the parseable "
+       "retry-hint ceiling)"},
+      {"non-positive initial rate",
+       [&](node::NodeConfig& c) {
+         steering(c);
+         c.coord.init_rate = 0.0;
+       },
+       "--coord-init-rate must be > 0"},
+      // Secure aggregation.
+      {"cohort of one",
+       [&](node::NodeConfig& c) {
+         secagg(c);
+         c.secagg.cohort = 1;
+       },
+       "--secagg-cohort must be >= 2 (a cohort of one is just LDP)"},
+      {"more survivors than the cohort",
+       [&](node::NodeConfig& c) {
+         secagg(c);
+         c.secagg.min_survivors = 5;
+       },
+       "--secagg-min-survivors must be in [2, --secagg-cohort] (below 2 a "
+       "lone survivor's blob would be unmaskable alone)"},
+      {"round timeout below 1 ms",
+       [&](node::NodeConfig& c) {
+         secagg(c);
+         c.secagg.round_timeout_ms = 0;
+       },
+       "--secagg-round-timeout-ms must be >= 1"},
       {"secagg key file on the server",
        [&](node::NodeConfig& c) {
          secagg(c);
@@ -113,8 +276,8 @@ TEST(Node, RefusesInvalidTierCombinationsWithTodaysText) {
        "fleet masking key"},
       {"secagg on a follower",
        [&](node::NodeConfig& c) {
+         follower(c);
          secagg(c);
-         c.repl.role = "follower";
        },
        "--secagg-cohort is a leader feature (a follower refuses checkins, so "
        "it cannot apply cohort sums)"},
@@ -125,13 +288,56 @@ TEST(Node, RefusesInvalidTierCombinationsWithTodaysText) {
        },
        "--secagg-cohort requires --model-instances 1 (cohort sums apply to "
        "one model)"},
-      {"pool on a follower",
-       [](node::NodeConfig& c) {
+      // Sharding.
+      {"shard id past the map",
+       [&](node::NodeConfig& c) {
+         sharded(c);
+         c.shard.shard_id = 2;
+       },
+       "--shard-id 2 is out of range for a 2-entry --shard-map"},
+      {"negative merge interval",
+       [&](node::NodeConfig& c) {
+         sharded(c);
+         c.shard.merge_ms = -1;
+       },
+       "--shard-merge-ms must be >= 0"},
+      {"shard map on a follower",
+       [&](node::NodeConfig& c) {
+         sharded(c);
+         follower(c);
+       },
+       "--shard-map is a leader flag (a shard's followers are plain "
+       "followers of that shard's leader and need no map)"},
+      {"shard map with a pool",
+       [&](node::NodeConfig& c) {
+         sharded(c);
          c.model_instances = 2;
-         c.repl.role = "follower";
+       },
+       "--shard-map requires --model-instances 1 (a shard leader is the "
+       "single-applier stack; scale out with more shards)"},
+      {"shard map without a WAL",
+       [&](node::NodeConfig& c) {
+         sharded(c);
+         c.wal_dir = "";
+       },
+       "--shard-map requires --wal-dir (merges are WAL records; acked => "
+       "durable must hold across a shard leader crash)"},
+      // Draw-and-discard pools.
+      {"pool on a follower",
+       [&](node::NodeConfig& c) {
+         follower(c);
+         c.model_instances = 2;
        },
        "--model-instances > 1 with --role follower is not supported yet "
        "(pool failover is a coordinated-election problem; see ROADMAP.md)"},
+      {"pool with a replication plane",
+       [&](node::NodeConfig& c) {
+         replicated(c);
+         c.model_instances = 2;
+       },
+       "--model-instances > 1 does not replicate: drop --repl-port/"
+       "--repl-ack/--promote-on-start or serve one model (no follower can "
+       "rebuild a pool's k instance streams; see docs/REPLICATION.md)"},
       {"pool with a checkpoint",
        [](node::NodeConfig& c) {
          c.model_instances = 2;
@@ -205,8 +411,6 @@ TEST(NodeFailover, FollowerPromotedByTickServesQuorumAckedCheckins) {
                                    const std::string& peers) {
     node::NodeConfig c = small_config(dir, reg);
     c.repl.role = "follower";
-    c.repl.leader_host = "127.0.0.1";
-    c.repl.leader_port = leader->repl_port();
     c.repl.leader_addr = "127.0.0.1:" + std::to_string(leader->repl_port());
     c.repl.election_timeout_ms = timeout_ms;
     c.repl.peers = peers;

@@ -870,6 +870,57 @@ TEST(ReplFencing, LeaderFencedByNewerHello) {
   leader.shipper->shutdown();
 }
 
+// Every replication stream carries instance tag 0: a draw-and-discard
+// pool does not replicate. A tag arriving from a peer is outside input,
+// so each end drops a peer that sends another value before any record
+// crosses.
+TEST(ReplFencing, ShipperDropsHelloWithNonZeroInstanceTag) {
+  LeaderRig leader(ReplAckMode::kNone);
+  rng::Engine eng(12);
+  leader.drive(eng, 3);
+  auto conn =
+      net::TcpConnection::connect("127.0.0.1", leader.shipper->port(), 2000);
+  ASSERT_TRUE(conn.has_value());
+  conn->set_deadline_ms(2000);
+  net::ReplHelloMessage hello;
+  hello.follower_id = 5;
+  hello.epoch = 1;
+  hello.instance_id = 1;
+  ASSERT_TRUE(conn->send_frame(
+      net::encode_frame(net::MessageType::kReplHello, hello.serialize())));
+  EXPECT_FALSE(conn->recv_frame().has_value()) << "shipped to a tagged hello";
+  EXPECT_NE(conn->last_error(), net::NetError::kTimeout);
+  EXPECT_FALSE(leader.shipper->fenced());
+  EXPECT_EQ(leader.shipper->follower_sessions(), 0u);
+  leader.shipper->shutdown();
+}
+
+TEST(ReplFencing, FollowerDropsAppendWithNonZeroInstanceTag) {
+  auto listener = net::TcpListener::bind(0);
+  ASSERT_TRUE(listener.has_value());
+  FollowerRig f(listener->port());
+  f.follower->start();
+  {
+    auto conn = listener->accept();
+    ASSERT_TRUE(conn.has_value());
+    conn->set_deadline_ms(2000);
+    ASSERT_TRUE(conn->recv_frame().has_value());  // hello
+    rng::Engine eng(8);
+    net::ReplAppendMessage tagged;
+    tagged.epoch = 1;
+    tagged.want_ack = true;
+    tagged.instance_id = 1;
+    tagged.records.push_back({1, random_checkin(eng, 1).serialize()});
+    ASSERT_TRUE(conn->send_frame(net::encode_frame(
+        net::MessageType::kReplAppend, tagged.serialize())));
+    EXPECT_FALSE(conn->recv_frame().has_value()) << "acked a tagged batch";
+  }
+  EXPECT_EQ(f.follower->applied_seq(), 0u);
+  EXPECT_EQ(f.server.version(), 0u);
+  f.follower->shutdown();
+  listener->close();
+}
+
 TEST(ReplFencing, FollowerRefusesStaleFramesAndAdoptsNewer) {
   // Fake leader: a bare listener we script by hand.
   auto listener = net::TcpListener::bind(0);

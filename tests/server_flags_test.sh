@@ -1,7 +1,8 @@
 #!/bin/sh
-# crowdml-server refuses a malformed or out-of-range command line with
-# exit code 1 and a one-line "crowdml-server: ..." reason on stderr,
-# instead of aborting or quietly running with a different value.
+# crowdml-server refuses a malformed or out-of-range command line, or an
+# invalid tier combination (node::validate), with exit code 1 and a
+# one-line "crowdml-server: ..." reason on stderr, instead of aborting or
+# quietly running with a different value.
 # Run by ctest with the build directory as argument.
 set -eu
 SERVER="$1/tools/crowdml-server"
@@ -24,4 +25,8 @@ refuses "crowdml-server: --port: must be in 0..65535, got 70000" --port 70000
 refuses "crowdml-server: --repl-port: must be in 0..65535, got 70001" \
     --repl-port 70001 --wal-dir wal
 refuses "crowdml-server: --io-threads: must be >= 1, got 0" --io-threads 0
+refuses "crowdml-server: --model-instances > 1 does not replicate: drop \
+--repl-port/--repl-ack/--promote-on-start or serve one model (no follower \
+can rebuild a pool's k instance streams; see docs/REPLICATION.md)" \
+    --model-instances 2 --repl-ack async --wal-dir wal
 echo "server-flags OK"

@@ -138,8 +138,9 @@ int main(int argc, char** argv) {
         host, port, rp, rng::Engine(static_cast<std::uint64_t>(seed) ^ 0xD1CE),
         /*counters=*/nullptr, /*trace=*/nullptr, device.id());
 
-    const tools::SecAggFlags secf = tools::parse_secagg_flags(flags);
-    if (!secf.error.empty()) throw std::runtime_error(secf.error);
+    const node::SecAggSettings secf = tools::parse_secagg_flags(flags);
+    if (const std::string refusal = node::validate(secf); !refusal.empty())
+      throw std::runtime_error(refusal);
     if (secf.enabled && secf.key_file.empty())
       throw std::runtime_error(
           "--secagg-cohort requires --secagg-key-file (the fleet masking "
