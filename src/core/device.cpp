@@ -1,6 +1,7 @@
 #include "core/device.hpp"
 
 #include <cassert>
+#include <stdexcept>
 #include <cmath>
 
 #include "obs/profile.hpp"
@@ -35,8 +36,11 @@ Device::Device(DeviceConfig config, const models::Model& model, rng::Engine eng)
       model_(model),
       eng_(eng),
       accountant_(config.budget, model.num_classes()) {
-  assert(config_.minibatch_size >= 1);
-  assert(config_.max_buffer >= config_.minibatch_size);
+  if (config_.minibatch_size < 1)
+    throw std::invalid_argument("Device: minibatch_size must be >= 1");
+  if (config_.max_buffer < config_.minibatch_size)
+    throw std::invalid_argument(
+        "Device: max_buffer must be >= minibatch_size");
   assert(config_.holdout_fraction >= 0.0 && config_.holdout_fraction < 1.0);
   buffer_.reserve(config_.minibatch_size);
 }

@@ -76,6 +76,8 @@ struct MaskedCheckinResult {
 
 class Device {
  public:
+  /// Throws std::invalid_argument when minibatch_size < 1 or
+  /// max_buffer < minibatch_size.
   Device(DeviceConfig config, const models::Model& model, rng::Engine eng);
 
   /// Device Routine 1. Returns true if the sample was buffered. False

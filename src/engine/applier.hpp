@@ -3,7 +3,8 @@
 // An applier thread drains its CheckinQueue and runs every batch through
 // the same steps, in this order:
 //
-//   drain      up to batch_max queued items, arrival order preserved;
+//   drain      queued items, arrival order preserved, up to batch_max
+//              per batch;
 //   apply      each frame through the ProtocolServer (Eq. 3 for a
 //              checkin), so the server's update sequence is exactly the
 //              order the requests were admitted in;
@@ -15,9 +16,13 @@
 //              again when the manager's change counter moves, when its
 //              next deadline passes, and on every idle pass; the ones now
 //              answered (cohort sealed, round resolved or recovering,
-//              fallback decided) join this batch's replies;
+//              fallback decided) join the batch's replies;
+//   snapshot   the board snapshot of the state the batch leaves, taken
+//              right after the batch is applied (nothing else is applied
+//              meanwhile);
 //   commit     one group commit for the whole batch (one WAL fsync, plus
-//              the replication quorum wait when a shipper is wired in);
+//              the replication quorum wait when a shipper is wired in),
+//              run by the applier's committer thread;
 //   nack       on commit failure every ok-ack in the batch becomes a
 //              "durability failure" nack — the acks have not left yet, so
 //              acked => durable never lies. Replies to held requests
@@ -28,12 +33,24 @@
 //   pace       with a coordinator, every checkin ack carries the class's
 //              next_checkin_hint_ms (after the nack rewrite, so the hint
 //              survives it);
-//   publish    the snapshot board, before any ack leaves — a device that
-//              sees its ack and checks out again finds its own update;
+//   publish    the batch's snapshot goes on the board, before any ack
+//              leaves — a device that sees its ack and checks out again
+//              finds its own update, and the board never shows state
+//              that is not committed;
 //   release    responses grouped per event loop, one wakeup per loop.
 //
+// The commit is pipelined. At most one batch is in flight: while the
+// committer commits batch N, the applier keeps draining and applying new
+// arrivals into batch N+1, and hands N+1 over as soon as N's commit has
+// returned and N is released. Steps nack through release for batch N
+// run on the applier thread, only after N's commit returned. A failed
+// commit nacks N alone; the store re-queues N's records ahead of N+1's,
+// so the log stays contiguous.
+//
 // Once the queue is closed and drained, held requests get their current
-// answer (a not-ready one carries its retry hint) before the loop exits.
+// answer (a not-ready one carries its retry hint), and the batch in
+// flight and the last one applied are committed and released, before
+// the loop exits: it never leaves records applied but uncommitted.
 //
 // engine::EpollCrowdServer runs one applier over the caller's server;
 // multimodel::ModelInstancePool runs one per model instance.
@@ -62,18 +79,18 @@ namespace crowdml::engine {
 /// carries only client frames has none.
 ///
 /// No ack waits on these records, so they owe no fsync of their own: a
-/// batch of only records commits once kRecordFlush of them are pending,
-/// and an idle queue flushes whatever is pending (followers only see
-/// committed records, so the flush bounds replication lag).
+/// batch of only records commits once kRecordFlush of them are pending
+/// (the applier counts them), and an idle queue flushes whatever is
+/// pending (followers only see committed records, so the flush bounds
+/// replication lag).
 class InternalRecords {
  public:
   virtual ~InternalRecords() = default;
   /// Apply `frame` and return true when it is one of these records;
   /// false hands it to the protocol server as a client frame.
   virtual bool apply(const net::Bytes& frame) = 0;
-  /// Records applied since the last successful commit.
-  virtual std::size_t uncommitted() const = 0;
-  /// Called once per batch after its commit and before publication.
+  /// Called on the applier thread once per batch, after the batch is
+  /// applied and before its snapshot is taken.
   virtual void end_batch() = 0;
 };
 
@@ -104,7 +121,9 @@ struct ApplierParts {
   core::ProtocolServer& protocol;
   ModelSnapshotBoard& board;
   std::size_t batch_max = 256;
-  /// Group commit for the batch just applied; false nacks its ok-acks.
+  /// Group commit for the batch sealed last; false nacks its ok-acks.
+  /// Called from the applier's committer thread, one call at a time,
+  /// while the applier thread applies the next batch.
   std::function<bool()> commit;
   /// Pace steering: fed queue depth and apply/commit timings, stamps
   /// checkin-ack hints. Null disables (ack bytes unchanged).

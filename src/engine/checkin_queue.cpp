@@ -46,10 +46,11 @@ std::size_t CheckinQueue::drain(std::vector<CheckinWork>& out,
                                 std::size_t max_batch, int timeout_ms) {
   if (max_batch == 0) return 0;
   std::unique_lock<std::mutex> lock(mu_);
-  if (items_.empty() && !closed_) {
+  if (items_.empty() && !closed_ && !woken_) {
     cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms < 0 ? 0 : timeout_ms),
-                 [this] { return !items_.empty() || closed_; });
+                 [this] { return !items_.empty() || closed_ || woken_; });
   }
+  woken_ = false;
   std::size_t n = 0;
   while (n < max_batch && !items_.empty()) {
     out.push_back(std::move(items_.front()));
@@ -58,6 +59,14 @@ std::size_t CheckinQueue::drain(std::vector<CheckinWork>& out,
   }
   depth_gauge_.set(static_cast<double>(items_.size()));
   return n;
+}
+
+void CheckinQueue::wake() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    woken_ = true;
+  }
+  cv_.notify_all();
 }
 
 void CheckinQueue::close() {

@@ -58,6 +58,11 @@ class CheckinQueue {
   std::size_t drain(std::vector<CheckinWork>& out, std::size_t max_batch,
                     int timeout_ms);
 
+  /// End the current drain wait now, or the next one at once if none is
+  /// waiting, even with nothing queued (the applier's committer uses it
+  /// to say a commit returned). One wake ends one wait.
+  void wake();
+
   /// Stop accepting pushes and wake the applier. Items already queued
   /// remain drainable so every accepted request still gets a response.
   void close();
@@ -73,6 +78,7 @@ class CheckinQueue {
   std::condition_variable cv_;
   std::deque<CheckinWork> items_;
   bool closed_ = false;
+  bool woken_ = false;
 
   obs::Gauge& depth_gauge_;
   obs::Counter& enqueued_total_;

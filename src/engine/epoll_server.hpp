@@ -13,10 +13,13 @@
 //     ModelSnapshotBoard's pre-encoded frame — no state lock, no
 //     serialization work, no contention with updates;
 //   - checkins flow through a bounded MPSC CheckinQueue to one applier
-//     thread (engine/applier.hpp), which applies them in arrival order,
-//     group-commits the whole batch's WAL appends with a single fsync
-//     (store::DurableStore::commit_group), republishes the board, and
-//     only then releases the acks — acked => durable still holds;
+//     thread (engine/applier.hpp), which applies them in arrival order
+//     and hands each batch to its committer thread, which group-commits
+//     the batch's WAL records with a single fsync
+//     (store::DurableStore::commit_group) while the applier applies the
+//     next batch; once the commit returned the applier republishes the
+//     board and only then releases the acks — acked => durable still
+//     holds;
 //   - admission control: a full queue sheds with a machine-readable
 //     "retry_after_ms" nack (net::retry_after_reason) that
 //     ReconnectingDeviceSession honors as its next delay, so overload
@@ -68,11 +71,13 @@ struct EngineConfig {
   /// carrying this retry hint.
   std::size_t checkin_queue_max = 1024;
   int queue_retry_after_ms = 50;
-  /// Most checkins applied (and group-committed) per applier wakeup.
+  /// Most checkins applied (and group-committed) per batch.
   std::size_t checkin_batch_max = 256;
-  /// Group-commit hook, called once per drained batch after every update
-  /// applied; returning false nacks the whole batch's acks ("durability
-  /// failure"). Wire store::DurableStore::commit_group here (after
+  /// Group-commit hook, called once per batch after every update of the
+  /// batch was applied, from the applier's committer thread, one call at
+  /// a time (the next batch may be applying meanwhile); returning false
+  /// nacks the whole batch's acks ("durability failure"). Wire
+  /// store::DurableStore::commit_group here (after
   /// set_group_commit(true)); leave null when no durability layer is
   /// attached (or it appends per record).
   std::function<bool()> group_commit;
@@ -197,7 +202,7 @@ class EpollCrowdServer {
   }
 
   /// Swap the group-commit hook (promotion wires the ex-follower's store
-  /// and new shipper in). Takes effect from the next drained batch.
+  /// and new shipper in). Takes effect from the next commit.
   void set_group_commit(std::function<bool()> hook);
 
   /// Stop accepting, drain the queue (every admitted request still gets

@@ -233,9 +233,11 @@ void EventLoop::sweep_idle() {
   for (const auto& [id, conn] : conns_)
     if (conn->last_activity < cutoff) idle.push_back(id);
   for (const auto id : idle) {
-    if (opts_.idle_closed) ++*opts_.idle_closed;
     if (opts_.trace) opts_.trace->event("idle_close");
     close_conn(id);
+    // Counted once closed, so a reader that sees the count also sees the
+    // connection gone from connections().
+    if (opts_.idle_closed) ++*opts_.idle_closed;
   }
 }
 

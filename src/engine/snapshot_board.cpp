@@ -23,6 +23,11 @@ ModelSnapshotBoard::ModelSnapshotBoard(obs::MetricsRegistry* metrics)
           obs::Provenance::kTiming)) {}
 
 void ModelSnapshotBoard::publish(const core::Server& server) {
+  install(snapshot(server));
+}
+
+std::shared_ptr<ModelSnapshot> ModelSnapshotBoard::snapshot(
+    const core::Server& server) {
   auto snap = std::make_shared<ModelSnapshot>();
   // version/stopped/parameters are separate locked reads; they form a
   // coherent snapshot because the caller guarantees no concurrent
@@ -35,6 +40,10 @@ void ModelSnapshotBoard::publish(const core::Server& server) {
   snap->accepted = msg.accepted;
   snap->params_frame =
       net::encode_frame(net::MessageType::kParams, msg.serialize());
+  return snap;
+}
+
+void ModelSnapshotBoard::install(std::shared_ptr<ModelSnapshot> snap) {
   snap->published_at = std::chrono::steady_clock::now();
   std::shared_ptr<const ModelSnapshot> old;
   {

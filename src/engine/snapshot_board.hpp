@@ -14,9 +14,14 @@
 // sanitizer can see through; libstdc++ 12's std::atomic<std::shared_ptr>
 // hides its lock from one.
 //
-// Freshness: the applier republishes after every drained checkin batch,
-// so a served snapshot is at most one in-flight batch behind the true
-// state — the same staleness window Section IV-B3 already budgets for
+// Freshness: the board holds committed state only. The applier builds a
+// batch's snapshot right after applying the batch, while no other
+// checkin is applied, and installs it when the batch's group commit has
+// returned, just before the batch's acks leave — a device that sees its
+// ack and checks out again finds its own update. Because the applier
+// applies batch N+1 while batch N commits, a served snapshot trails the
+// true state by at most the batch in flight plus the batch being
+// applied — the same staleness window Section IV-B3 already budgets for
 // (a device's gradient is computed against a w that aged in transit).
 // The snapshot-age gauge makes the window observable.
 #pragma once
@@ -48,11 +53,19 @@ class ModelSnapshotBoard {
   /// counter and the snapshot-age gauge. Must outlive the board.
   explicit ModelSnapshotBoard(obs::MetricsRegistry* metrics = nullptr);
 
-  /// Snapshot `server`'s current parameters and publish atomically.
-  /// Caller contract: no checkin may be applied concurrently (the epoll
-  /// engine's single applier thread satisfies this by construction);
-  /// concurrent current() loads are always safe.
+  /// Snapshot `server`'s current parameters and publish atomically:
+  /// install(snapshot(server)).
   void publish(const core::Server& server);
+
+  /// Build a snapshot of `server`'s current parameters without publishing
+  /// it. Caller contract: no checkin may be applied concurrently (the
+  /// epoll engine's single applier thread satisfies this by
+  /// construction).
+  static std::shared_ptr<ModelSnapshot> snapshot(const core::Server& server);
+
+  /// Publish `snap` (from snapshot()) atomically, stamping it published
+  /// now. Concurrent current() loads are always safe.
+  void install(std::shared_ptr<ModelSnapshot> snap);
 
   /// The latest snapshot (never null after construction-time publish;
   /// null only if publish was never called).

@@ -145,7 +145,10 @@ void ModelInstancePool::start() {
                            .protocol = *s->protocol,
                            .board = s->board,
                            .batch_max = opts_.checkin_batch_max,
-                           .commit = [this, s] { return commit(*s); },
+                           .commit =
+                               [s] {
+                                 return !s->store || s->store->commit_group();
+                               },
                            .coordinator = s->coordinator.get(),
                            .records = slots_.size() > 1 ? s : nullptr,
                            .metrics = opts_.metrics,
@@ -215,21 +218,12 @@ std::vector<long long> ModelInstancePool::discard_counts() const {
   return out;
 }
 
-bool ModelInstancePool::commit(Slot& slot) {
-  if (slot.store && !slot.store->commit_group()) return false;
-  slot.lazy_records = 0;
-  return true;
-}
-
 bool ModelInstancePool::Slot::apply(const net::Bytes& frame) {
   if (!store::is_opaque_record(frame)) return false;
   try {
     const auto rec = OverwriteRecord::deserialize(frame);
     const std::uint64_t v = server->overwrite_parameters(rec.w);
-    if (store) {
-      store->log_record(v, frame);
-      ++lazy_records;
-    }
+    if (store) store->log_record(v, frame);
     ++batch_overwrites;
     ++pool->overwrites_applied_;
     if (pool->opts_.trace)

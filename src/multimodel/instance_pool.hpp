@@ -209,10 +209,6 @@ class ModelInstancePool {
     std::thread applier;
     /// Discard stream: deterministic per instance (seed split by index).
     std::uint64_t discard_state = 0;
-    /// Overwrite records logged but not yet group-committed (applier
-    /// thread only). Overwrites carry no client ack, so they owe no
-    /// fsync of their own — they ride the next acked batch's commit.
-    std::size_t lazy_records = 0;
     /// Server version at the end of the last batch, and overwrites
     /// applied since (applier thread only): the current version minus
     /// both is the number of client updates the batch applied.
@@ -227,12 +223,9 @@ class ModelInstancePool {
          const PoolOptions& opts);
 
     bool apply(const net::Bytes& frame) override;
-    std::size_t uncommitted() const override { return lazy_records; }
     void end_batch() override;
   };
 
-  /// The applier's commit step: instance `slot`'s group commit.
-  bool commit(Slot& slot);
   /// Uniform instance index from the shared atomic stream.
   std::size_t draw_index(std::atomic<std::uint64_t>& state);
 

@@ -50,7 +50,7 @@ void report_recovery(const store::DurableStore::RecoveryInfo& info) {
       info.corrupt_snapshots_skipped > 0 ? ", corrupt snapshot skipped" : "");
 }
 
-/// The leader's group-commit hook: one fsync per drained batch instead of
+/// The leader's group-commit hook: one fsync per applied batch instead of
 /// one per checkin, and acks are held until it succeeds, so acked =>
 /// durable. With a quorum shipper, acks also wait for a majority of
 /// followers to durably append the batch (acked => replicated). Used at

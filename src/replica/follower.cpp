@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <stdexcept>
 
 #include "core/checkpoint.hpp"
 #include "net/messages.hpp"
@@ -110,9 +111,8 @@ void Follower::start() {
         [this](const net::ReplVoteMessage& req) { return grant_vote(req); });
     if (!votes_->start()) {
       votes_.reset();
-      set_fatal("vote listener bind failed on port " +
-                std::to_string(opts_.vote_port));
-      return;
+      throw std::runtime_error("vote listener bind failed on port " +
+                               std::to_string(opts_.vote_port));
     }
     // A leader that never appears is as dead as one that crashed: the
     // detector starts counting from here, not from the first heartbeat.
@@ -423,14 +423,13 @@ Follower::ServeResult Follower::serve_connection(net::TcpConnection& conn) {
 
 bool Follower::apply_records(const std::vector<net::ReplRecord>& records) {
   const std::uint64_t durable = durable_position();
-  std::vector<store::WalRecord> to_append;
-  to_append.reserve(records.size());
+  store::WalBatch to_append;
   for (const auto& rec : records) {
     if (rec.seq <= durable) continue;  // already held durably; idempotent
     if (rec.seq <= server_.version()) {
       // Applied in memory on a previous connection but its append never
       // completed: persist without re-applying, closing the hole.
-      to_append.push_back({rec.seq, rec.payload});
+      to_append.add(rec.seq, rec.payload);
       continue;
     }
     if (rec.seq != server_.version() + 1) {
@@ -459,7 +458,7 @@ bool Follower::apply_records(const std::vector<net::ReplRecord>& records) {
         set_fatal("opaque replay diverged at seq " + std::to_string(rec.seq));
         return false;
       }
-      to_append.push_back({rec.seq, rec.payload});
+      to_append.add(rec.seq, rec.payload);
       continue;
     }
     net::CheckinMessage msg;
@@ -478,11 +477,11 @@ bool Follower::apply_records(const std::vector<net::ReplRecord>& records) {
                 (ack.ok ? "" : (": " + ack.reason)));
       return false;
     }
-    to_append.push_back({rec.seq, rec.payload});
+    to_append.add(rec.seq, rec.payload);
   }
   if (!to_append.empty()) {
     try {
-      store_->wal().append_batch(to_append);
+      store_->wal().append(to_append);
       store_->wal().sync();
     } catch (const store::WalError& e) {
       // Acking would claim durability we do not have.

@@ -101,6 +101,9 @@ class Follower {
   Follower(const Follower&) = delete;
   Follower& operator=(const Follower&) = delete;
 
+  /// Bind the vote listener (with a failure detector) and start
+  /// replicating. Throws std::runtime_error("vote listener bind failed
+  /// on port N") when the vote port cannot be bound; nothing is started.
   void start();
   void shutdown();
 

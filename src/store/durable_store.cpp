@@ -181,60 +181,37 @@ void DurableStore::attach(core::Server& server) {
   if (!recovered_) throw WalError("attach before recover");
   server.set_applied_hook(
       [this](const net::CheckinMessage& msg, std::uint64_t version) {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        if (poisoned_) return false;
-        if (group_commit_) {
-          // Buffer only; durability happens at commit_group(). The caller
-          // is holding this checkin's ack until then.
-          group_buf_.emplace_back(version, msg.serialize());
-          return true;
-        }
-        // Queue-then-drain keeps the log contiguous across transient
-        // append failures: the server's version advances even on a nack,
-        // so appending a *newer* record before the failed one would punch
-        // a hole that poisons replay. Every record here was applied in
-        // memory, so persisting it late is faithful to the state a
-        // recovery must rebuild.
-        pending_.emplace_back(version, msg.serialize());
-        try {
-          drain_pending_locked();
-          return true;
-        } catch (const WalError& e) {
-          // The update stays applied in memory, but the device gets a
-          // nack: "acked => durable" must never lie. The device treats it
-          // as a failed cycle and never replays the checkin (Remark 1).
-          ++append_failures_;
-          if (pending_.size() > kMaxPending) {
-            poisoned_ = true;
-            pending_.clear();
-            if (opts_.trace)
-              opts_.trace->event("wal_poisoned", {{"round", version}});
-          } else if (opts_.trace) {
-            opts_.trace->event("wal_append_failed",
-                               {{"round", version},
-                                {"reason", e.what()},
-                                {"queued", pending_.size()}});
-          }
-          return false;
-        }
+        return log_record(version, msg.serialize());
       });
 }
 
 bool DurableStore::log_record(std::uint64_t seq, net::Bytes payload) {
+  {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    if (poisoned_) return false;
+    if (group_commit_) {
+      // Buffer only; durability happens at commit_group(). The caller
+      // is holding this record's ack until then.
+      group_buf_.emplace_back(seq, std::move(payload));
+      return true;
+    }
+  }
+  // Queue-then-drain keeps the log contiguous across transient append
+  // failures: the server's version advances even on a nack, so appending
+  // a *newer* record before the failed one would punch a hole that
+  // poisons replay. Every record here was applied in memory, so
+  // persisting it late is faithful to the state a recovery must rebuild.
+  std::lock_guard<std::mutex> commit(commit_mu_);
   std::lock_guard<std::mutex> lock(pending_mu_);
   if (poisoned_) return false;
-  if (group_commit_) {
-    group_buf_.emplace_back(seq, std::move(payload));
-    return true;
-  }
-  // Same queue-then-drain discipline as the applied-checkin hook: a
-  // transient failure leaves the record in version order ahead of newer
-  // ones, so the log can never hole.
   pending_.emplace_back(seq, std::move(payload));
   try {
     drain_pending_locked();
     return true;
   } catch (const WalError& e) {
+    // The update stays applied in memory, but the device gets a nack:
+    // "acked => durable" must never lie. The device treats it as a failed
+    // cycle and never replays the checkin (Remark 1).
     ++append_failures_;
     if (pending_.size() > kMaxPending) {
       poisoned_ = true;
@@ -268,43 +245,53 @@ bool DurableStore::group_commit() const {
 }
 
 bool DurableStore::commit_group() {
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  return commit_buffers_locked();
+  std::lock_guard<std::mutex> commit(commit_mu_);
+  return commit_buffers();
 }
 
-bool DurableStore::commit_buffers_locked() {
-  if (poisoned_) {
-    // The callers of a poisoned store nack everything anyway; drop the
-    // buffer so it cannot grow without bound.
-    append_failures_ += static_cast<long long>(group_buf_.size());
+bool DurableStore::commit_buffers() {
+  // Take the buffers and release pending_mu_ before the write and fsync:
+  // the applied hook keeps buffering the next batch meanwhile.
+  Records records;
+  std::size_t group_size = 0;
+  {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    if (poisoned_) {
+      // The callers of a poisoned store nack everything anyway; drop the
+      // buffer so it cannot grow without bound.
+      append_failures_ += static_cast<long long>(group_buf_.size());
+      group_buf_.clear();
+      return false;
+    }
+    if (pending_.empty() && group_buf_.empty()) return true;
+    records.swap(pending_);
+    group_size = group_buf_.size();
+    for (auto& rec : group_buf_) records.push_back(std::move(rec));
     group_buf_.clear();
-    return false;
   }
-  if (pending_.empty() && group_buf_.empty()) return true;
-  std::vector<WalRecord> batch;
-  batch.reserve(pending_.size() + group_buf_.size());
-  for (const auto& [seq, payload] : pending_) batch.push_back({seq, payload});
-  for (const auto& [seq, payload] : group_buf_)
-    batch.push_back({seq, payload});
-  const std::size_t group_size = group_buf_.size();
+  WalBatch batch;
+  std::size_t payload_bytes = 0;
+  for (const auto& rec : records) payload_bytes += rec.second.size();
+  batch.reserve(records.size(), payload_bytes);
+  for (const auto& [seq, payload] : records) batch.add(seq, payload);
   try {
-    wal_.append_batch(batch);
-    pending_.clear();
-    group_buf_.clear();
+    wal_.append(batch);
     return true;
   } catch (const WalError& e) {
     // Every record of this group gets nacked by the caller (pending_
     // records were nacked when they were first queued), so nothing acked
-    // escapes undurable. Records append_batch already wrote stay in the
+    // escapes undurable. Records the append already wrote stay in the
     // log — nacked-but-durable is the safe direction — and must not be
-    // re-appended (the seq check would poison the log); the rest are
-    // re-queued so the log stays contiguous once the disk recovers.
-    append_failures_ += static_cast<long long>(group_size);
-    for (auto& rec : group_buf_) pending_.push_back(std::move(rec));
-    group_buf_.clear();
+    // re-appended (the seq check would poison the log); the rest go back
+    // to pending_, ahead of anything buffered since, so the log stays
+    // contiguous once the disk recovers.
     const std::uint64_t written_through = wal_.last_seq();
-    while (!pending_.empty() && pending_.front().first <= written_through)
-      pending_.pop_front();
+    while (!records.empty() && records.front().first <= written_through)
+      records.pop_front();
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    append_failures_ += static_cast<long long>(group_size);
+    for (auto& rec : pending_) records.push_back(std::move(rec));
+    pending_.swap(records);
     if (pending_.size() > kMaxPending) {
       poisoned_ = true;
       pending_.clear();
@@ -321,16 +308,16 @@ bool DurableStore::commit_buffers_locked() {
 
 void DurableStore::sync() {
   {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    try {
-      if (!poisoned_) drain_pending_locked();
-    } catch (const WalError&) {
-      // Shutdown path: the queued records were already nacked, so losing
-      // them here breaks no promise.
+    std::lock_guard<std::mutex> commit(commit_mu_);
+    bool poisoned;
+    {
+      std::lock_guard<std::mutex> lock(pending_mu_);
+      poisoned = poisoned_;
     }
-    // Group-buffered records were never acked (their batch never
-    // committed), so a failure here breaks no promise either.
-    if (!poisoned_ && !group_buf_.empty()) commit_buffers_locked();
+    // Queued records were already nacked, and group-buffered ones were
+    // never acked (their batch never committed), so a failure on this
+    // shutdown path breaks no promise.
+    if (!poisoned) commit_buffers();
   }
   wal_.sync();
 }

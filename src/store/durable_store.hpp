@@ -127,8 +127,8 @@ class DurableStore {
   /// Group-commit mode (the serving engine's applier thread). When
   /// enabled, the applied hook *buffers* each record and returns true
   /// instead of appending immediately; commit_group() then flushes the
-  /// whole buffer with one Wal::append_batch — under `--fsync always`
-  /// that is one fsync per batch instead of one per checkin. The
+  /// whole buffer as one framed WalBatch — under `--fsync always` that is
+  /// one fsync per batch instead of one per checkin. The
   /// acked=>durable contract moves to the caller: acks for buffered
   /// records must not reach the wire until commit_group() returns true,
   /// and on false every ack in the batch must be rewritten to a nack
@@ -137,11 +137,16 @@ class DurableStore {
   bool group_commit() const;
 
   /// Flush all buffered records — failure-queued ones first, then the
-  /// current group, in version order — with one batched append. Returns
-  /// true when every buffered record is durable per the fsync policy;
-  /// false on failure (all records of the group must then be nacked;
-  /// unwritten ones are re-queued so the log stays contiguous). Never
-  /// throws. True and a no-op when nothing is buffered.
+  /// current group, in version order — framed into one buffer and
+  /// appended with one write per segment. Returns true when every
+  /// buffered record is durable per the fsync policy; false on failure
+  /// (all records of the group must then be nacked; unwritten ones are
+  /// re-queued ahead of anything buffered since, so the log stays
+  /// contiguous). Never throws. True and a no-op when nothing is
+  /// buffered. The buffers are taken under a short lock and the write
+  /// and fsync run outside it, so the applied hook may keep buffering
+  /// the next batch on another thread while this one commits; commits
+  /// themselves run one at a time.
   bool commit_group();
 
   /// Append an opaque record (kOpaqueRecordMagic payload — e.g. a
@@ -185,10 +190,13 @@ class DurableStore {
 
  private:
   std::string snapshot_path(std::uint64_t version) const;
-  /// Append everything in pending_, oldest first. Caller holds pending_mu_.
+  using Records = std::deque<std::pair<std::uint64_t, net::Bytes>>;
+
+  /// Append everything in pending_, oldest first. Caller holds
+  /// commit_mu_ and pending_mu_.
   void drain_pending_locked();
-  /// commit_group() body. Caller holds pending_mu_.
-  bool commit_buffers_locked();
+  /// commit_group() body. Caller holds commit_mu_ (not pending_mu_).
+  bool commit_buffers();
 
   DurableStoreOptions opts_;
   WriteAheadLog wal_;
@@ -197,11 +205,16 @@ class DurableStore {
   long long compactions_ = 0;
   long long compaction_failures_ = 0;
 
+  /// Held by whatever writes the log (a commit, a non-group append, the
+  /// shutdown sync), so writes stay in seq order. Taken before
+  /// pending_mu_, never while holding it.
+  std::mutex commit_mu_;
+  /// Guards the buffers below; held only to move records in or out.
   mutable std::mutex pending_mu_;
-  std::deque<std::pair<std::uint64_t, net::Bytes>> pending_;
+  Records pending_;
   /// Records buffered by the hook in group-commit mode, awaiting
   /// commit_group(). Always newer than everything in pending_.
-  std::deque<std::pair<std::uint64_t, net::Bytes>> group_buf_;
+  Records group_buf_;
   bool group_commit_ = false;
   bool poisoned_ = false;
 

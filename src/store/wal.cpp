@@ -34,6 +34,25 @@ std::uint64_t read_u64(const std::uint8_t* p) {
   return v;
 }
 
+void write_le(std::uint8_t* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Append the frame of record `seq` to `out`: magic, seq, length, payload,
+/// then the CRC over seq + length + payload (everything after the magic).
+void frame_record(net::Bytes& out, std::uint64_t seq, const net::Bytes& payload) {
+  const std::size_t at = out.size();
+  out.resize(at + kWalHeaderSize + payload.size() + kWalTrailerSize);
+  std::uint8_t* p = out.data() + at;
+  write_le(p, kWalMagic, 4);
+  write_le(p + 4, seq, 8);
+  write_le(p + 12, payload.size(), 4);
+  if (!payload.empty())
+    std::memcpy(p + kWalHeaderSize, payload.data(), payload.size());
+  write_le(p + kWalHeaderSize + payload.size(),
+           net::crc32(p + 4, 8 + 4 + payload.size()), 4);
+}
+
 /// One record frame checked in place: magic, length and CRC verified,
 /// payload not copied.
 struct RecordView {
@@ -140,19 +159,19 @@ FsyncPolicy parse_fsync_policy(const std::string& spec, long long* every_n) {
 }
 
 net::Bytes encode_wal_record(std::uint64_t seq, const net::Bytes& payload) {
-  net::Writer w;
-  w.put_u32(kWalMagic);
-  w.put_u64(seq);
-  w.put_u32(static_cast<std::uint32_t>(payload.size()));
-  net::Bytes out = w.take();
-  out.insert(out.end(), payload.begin(), payload.end());
-  // CRC over seq + len + payload (everything after the magic).
-  const std::uint32_t crc = net::crc32(out.data() + 4, out.size() - 4);
-  net::Writer tail;
-  tail.put_u32(crc);
-  const net::Bytes crc_bytes = tail.take();
-  out.insert(out.end(), crc_bytes.begin(), crc_bytes.end());
+  net::Bytes out;
+  frame_record(out, seq, payload);
   return out;
+}
+
+void WalBatch::reserve(std::size_t records, std::size_t payload_bytes) {
+  records_.reserve(records);
+  bytes_.reserve(records * (kWalHeaderSize + kWalTrailerSize) + payload_bytes);
+}
+
+void WalBatch::add(std::uint64_t seq, const net::Bytes& payload) {
+  frame_record(bytes_, seq, payload);
+  records_.push_back({seq, bytes_.size()});
 }
 
 WalRecord decode_wal_record(const net::Bytes& buf, std::size_t* offset) {
@@ -567,15 +586,15 @@ void WriteAheadLog::close_active_locked(bool fsync_it) {
   active_has_records_ = false;
 }
 
-void WriteAheadLog::write_all_locked(const net::Bytes& bytes) {
+void WriteAheadLog::write_all_locked(const std::uint8_t* data,
+                                     std::size_t size) {
   std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd_, bytes.data() + written, bytes.size() - written);
+  while (written < size) {
+    const ssize_t n = ::write(fd_, data + written, size - written);
     if (n < 0) {
       if (errno == EINTR) continue;
       const std::string reason = errno_message("wal write failed");
-      // Roll the partial record back to the pre-append size. Junk left
+      // Roll the partial write back to the size before it. Junk left
       // here would sit *before* whatever a retried append (O_APPEND) puts
       // after it, and the next recovery would then truncate at the junk —
       // dropping fsynced, acked records that followed it.
@@ -607,34 +626,38 @@ void WriteAheadLog::fsync_dir() const {
   ::close(dfd);
 }
 
-void WriteAheadLog::append_one_locked(std::uint64_t seq,
-                                      const net::Bytes& payload) {
-  const net::Bytes record = encode_wal_record(seq, payload);
-  if (!opened_) throw WalError("append before open_and_replay");
-  if (broken_)
-    throw WalError(
-        "wal closed to appends: an earlier partial write could not be "
-        "rolled back");
-  if (seq <= last_seq_)
-    throw WalError("non-monotonic wal seq " + std::to_string(seq) +
-                   " (last " + std::to_string(last_seq_) + ")");
-  if (fd_ >= 0 && active_bytes_ >= opts_.segment_max_bytes) {
-    close_active_locked(/*fsync_it=*/opts_.fsync != FsyncPolicy::kNever);
-    ++rotations_;
-    ++rotations_total_;
+void WriteAheadLog::write_records_locked(const WalBatch& batch,
+                                         std::size_t count) {
+  const auto& recs = batch.records_;
+  for (std::size_t first = 0; first < count;) {
+    if (fd_ >= 0 && active_bytes_ >= opts_.segment_max_bytes) {
+      close_active_locked(/*fsync_it=*/opts_.fsync != FsyncPolicy::kNever);
+      ++rotations_;
+      ++rotations_total_;
+    }
+    if (fd_ < 0) open_segment_locked(recs[first].seq, /*append_to_existing=*/false);
+    // One write for the run of records this segment takes: every record
+    // that starts while the segment is below its cap, as record-at-a-time
+    // appends would place them.
+    const std::size_t from = first == 0 ? 0 : recs[first - 1].end;
+    std::size_t end = first + 1;
+    while (end < count &&
+           active_bytes_ + (recs[end - 1].end - from) < opts_.segment_max_bytes)
+      ++end;
+    const std::size_t bytes = recs[end - 1].end - from;
+    write_all_locked(batch.bytes_.data() + from, bytes);
+    active_bytes_ += bytes;
+    if (!active_has_records_) active_.first_seq = recs[first].seq;
+    active_has_records_ = true;
+    active_.last_seq = recs[end - 1].seq;
+    last_seq_ = recs[end - 1].seq;
+    const auto records = static_cast<long long>(end - first);
+    appended_ += records;
+    unsynced_ += records;
+    records_total_ += records;
+    bytes_total_ += static_cast<long long>(bytes);
+    first = end;
   }
-  if (fd_ < 0) open_segment_locked(seq, /*append_to_existing=*/false);
-
-  write_all_locked(record);
-  active_bytes_ += record.size();
-  if (!active_has_records_) active_.first_seq = seq;
-  active_has_records_ = true;
-  active_.last_seq = seq;
-  last_seq_ = seq;
-  ++appended_;
-  ++unsynced_;
-  ++records_total_;
-  bytes_total_ += static_cast<long long>(record.size());
 }
 
 void WriteAheadLog::policy_fsync_locked() {
@@ -651,20 +674,42 @@ void WriteAheadLog::policy_fsync_locked() {
 }
 
 void WriteAheadLog::append(std::uint64_t seq, const net::Bytes& payload) {
-  obs::TimedScope timer(append_seconds_);
-  std::lock_guard lock(mu_);
-  append_one_locked(seq, payload);
-  policy_fsync_locked();
+  WalBatch batch;
+  batch.add(seq, payload);
+  append(batch);
 }
 
 void WriteAheadLog::append_batch(const std::vector<WalRecord>& records) {
-  if (records.empty()) return;
+  WalBatch batch;
+  std::size_t payload_bytes = 0;
+  for (const WalRecord& r : records) payload_bytes += r.payload.size();
+  batch.reserve(records.size(), payload_bytes);
+  for (const WalRecord& r : records) batch.add(r.seq, r.payload);
+  append(batch);
+}
+
+void WriteAheadLog::append(const WalBatch& batch) {
+  if (batch.empty()) return;
   obs::TimedScope timer(append_seconds_);
   std::lock_guard lock(mu_);
+  if (!opened_) throw WalError("append before open_and_replay");
+  if (broken_)
+    throw WalError(
+        "wal closed to appends: an earlier partial write could not be "
+        "rolled back");
+  // The monotone prefix is written; a record that breaks the order ends
+  // the batch and is reported after it.
+  const auto& recs = batch.records_;
+  std::size_t valid = 0;
+  std::uint64_t prev = last_seq_;
+  while (valid < recs.size() && recs[valid].seq > prev) prev = recs[valid++].seq;
   // All writes first, one policy fsync at the end: under kAlways a batch
   // of N records costs one fsync instead of N — the group-commit win.
-  for (const WalRecord& r : records) append_one_locked(r.seq, r.payload);
+  write_records_locked(batch, valid);
   policy_fsync_locked();
+  if (valid < recs.size())
+    throw WalError("non-monotonic wal seq " + std::to_string(recs[valid].seq) +
+                   " (last " + std::to_string(prev) + ")");
 }
 
 void WriteAheadLog::sync() {

@@ -85,6 +85,28 @@ struct WalRecord {
 /// Encode one record (exposed for tests and fuzzing).
 net::Bytes encode_wal_record(std::uint64_t seq, const net::Bytes& payload);
 
+/// Records framed back to back in one buffer, so a group commit costs one
+/// `write` per segment it touches instead of one per record. The bytes
+/// are exactly the records' encode_wal_record frames, concatenated.
+class WalBatch {
+ public:
+  /// Reserve room for `records` frames carrying `payload_bytes` in all.
+  void reserve(std::size_t records, std::size_t payload_bytes);
+  /// Frame `payload` as record `seq` onto the end of the batch.
+  void add(std::uint64_t seq, const net::Bytes& payload);
+  bool empty() const { return records_.empty(); }
+  std::size_t size() const { return records_.size(); }
+
+ private:
+  friend class WriteAheadLog;
+  struct Entry {
+    std::uint64_t seq;
+    std::size_t end;  ///< offset just past this record's frame in bytes_
+  };
+  net::Bytes bytes_;
+  std::vector<Entry> records_;
+};
+
 /// Decode the record starting at `buf[*offset]`, advancing `*offset` past
 /// it on success. Throws WalError on truncation, bad magic, an absurd
 /// length, or CRC mismatch; `*offset` is left unchanged so the caller
@@ -177,17 +199,24 @@ class WriteAheadLog {
   ReplayStats open_and_replay(std::uint64_t from_seq, const Apply& apply);
 
   /// Append one record and make it durable per the fsync policy before
-  /// returning. `seq` must exceed every previously appended/replayed seq.
+  /// returning (a batch of one). `seq` must exceed every previously appended/replayed seq.
   /// Throws WalError on I/O failure or a non-monotonic seq.
   void append(std::uint64_t seq, const net::Bytes& payload);
 
-  /// Group commit: append every record (in order, seqs strictly
-  /// increasing), then fsync ONCE per the policy — under kAlways the
-  /// whole batch costs a single fsync, which is what makes batched
-  /// checkin application cheap (see engine::EpollCrowdServer). Throws
-  /// WalError at the first failing record: earlier records are written
-  /// (durable per policy), the failing one is rolled back, later ones are
-  /// untouched — the caller can tell them apart via last_seq().
+  /// Group commit: append every record of `batch` (in order, seqs
+  /// strictly increasing) with one `write` per segment the batch touches,
+  /// then fsync ONCE per the policy — under kAlways the whole batch costs
+  /// a single fsync, which is what makes batched checkin application
+  /// cheap (see engine::EpollCrowdServer). Segments rotate on the same
+  /// record boundaries as record-at-a-time appends, so the files are
+  /// byte-identical. A record whose seq does not exceed its
+  /// predecessor's ends the batch: the records before it are written,
+  /// then WalError is thrown. A failed write rolls its segment back to
+  /// the size it had before that write, so none of that write's records
+  /// land; last_seq() advances only past written records, which is how
+  /// the caller tells the written prefix from the rest.
+  void append(const WalBatch& batch);
+  /// Frame `records` into a WalBatch and append it as above.
   void append_batch(const std::vector<WalRecord>& records);
 
   /// Force an fsync of the active segment (no-op when nothing is unsynced).
@@ -212,13 +241,12 @@ class WriteAheadLog {
   };
 
   void open_segment_locked(std::uint64_t first_seq, bool append_to_existing);
-  /// Write one record (rotating first if due) without any fsync; the
-  /// caller applies the fsync policy afterwards (per record for append,
-  /// once per batch for append_batch).
-  void append_one_locked(std::uint64_t seq, const net::Bytes& payload);
+  /// Write the batch's first `count` records — rotating before any
+  /// record that finds the active segment full — without any fsync.
+  void write_records_locked(const WalBatch& batch, std::size_t count);
   void policy_fsync_locked();
   void close_active_locked(bool fsync_it);
-  void write_all_locked(const net::Bytes& bytes);
+  void write_all_locked(const std::uint8_t* data, std::size_t size);
   void fsync_active_locked();
   void fsync_dir() const;  ///< make renames/creates in dir_ durable
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/device.hpp"
 #include "models/logistic_regression.hpp"
@@ -44,6 +45,17 @@ TEST(Device, BuffersUntilMinibatchFull) {
   dev.on_sample(make_sample(eng, 4, 3));
   EXPECT_TRUE(dev.wants_checkout());
   EXPECT_EQ(dev.buffered(), 4u);
+}
+
+TEST(Device, RefusesAMinibatchItCouldNeverFill) {
+  models::MulticlassLogisticRegression model(3, 4, 0.0);
+  DeviceConfig empty = basic_config(4);
+  empty.minibatch_size = 0;
+  EXPECT_THROW(Device(empty, model, rng::Engine(1)), std::invalid_argument);
+  DeviceConfig small_buffer = basic_config(4);
+  small_buffer.max_buffer = 3;
+  EXPECT_THROW(Device(small_buffer, model, rng::Engine(1)),
+               std::invalid_argument);
 }
 
 TEST(Device, MaxBufferDropsSamples) {

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -61,6 +64,89 @@ data::Dataset small_dataset(std::size_t train = 900, std::size_t test = 300) {
   spec.test_size = test;
   return data::generate_mixture(spec, data_eng);
 }
+
+/// A signed checkin the server accepts (any gradient of the right shape).
+net::Bytes checkin_frame(const net::DeviceCredentials& creds,
+                         std::size_t dim, std::size_t classes) {
+  net::CheckinMessage m;
+  m.device_id = creds.device_id;
+  m.g_hat.assign(dim, 0.1);
+  m.ns = 5;
+  m.ny_hat.assign(classes, 1);
+  m.auth_tag = creds.sign(m.body());
+  return net::encode_frame(net::MessageType::kCheckin, m.serialize());
+}
+
+bool ok_ack(const std::optional<net::Bytes>& frame) {
+  if (!frame) return false;
+  const net::Frame f = net::decode_frame(*frame);
+  return f.type == net::MessageType::kAck &&
+         net::AckMessage::deserialize(f.payload).ok;
+}
+
+template <typename Pred>
+bool eventually(Pred pred, int timeout_ms = 5000) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Holds the group-commit calls that enter it until release().
+struct CommitGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  int entered = 0;
+  bool open = false;
+
+  void pass() {
+    std::unique_lock<std::mutex> lock(mu);
+    ++entered;
+    cv.notify_all();
+    cv.wait(lock, [this] { return open; });
+  }
+  bool wait_entered(int n) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return entered >= n; });
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+};
+
+/// One client connection whose reply is read on its own thread, so a
+/// test can watch whether it has arrived yet.
+struct PendingReply {
+  net::TcpConnection conn;
+  std::atomic<bool> arrived{false};
+  std::optional<net::Bytes> reply;
+  std::thread reader;
+
+  PendingReply(std::uint16_t port, const net::Bytes& request)
+      : conn(*net::TcpConnection::connect("127.0.0.1", port)) {
+    conn.set_deadline_ms(10'000);
+    EXPECT_TRUE(conn.send_frame(request));
+    reader = std::thread([this] {
+      reply = conn.recv_frame();
+      arrived.store(true);
+    });
+  }
+  std::optional<net::Bytes> get() {
+    if (reader.joinable()) reader.join();
+    return reply;
+  }
+  ~PendingReply() {
+    if (reader.joinable()) reader.join();
+  }
+};
 
 }  // namespace
 
@@ -529,6 +615,185 @@ TEST(Engine, GroupCommitFailureNacksWholeBatch) {
   EXPECT_GE(store.append_failures(), 1);
 
   eng.shutdown();
+}
+
+// ---------------------------------------------------- pipelined commit
+
+// While the committer holds batch N, the applier goes on applying batch
+// N+1: the server's version counts both, but N's ack stays on the server
+// and the board still shows the state before N.
+TEST(Engine, AckWaitsForItsCommitWhileTheNextBatchApplies) {
+  constexpr std::size_t kDim = 24, kClasses = 3;
+  core::Server server(server_config(kDim, kClasses), sgd(0.1), rng::Engine(1));
+  net::AuthRegistry registry(rng::Engine(2));
+  const auto a = registry.enroll();
+  const auto b = registry.enroll();
+  CommitGate gate;
+  std::atomic<int> commits{0};
+  obs::MetricsRegistry reg;
+  engine::EngineConfig ecfg;
+  ecfg.metrics = &reg;
+  ecfg.group_commit = [&] {
+    if (commits.fetch_add(1) == 0) gate.pass();
+    return true;
+  };
+  engine::EpollCrowdServer eng(server, registry, ecfg);
+
+  PendingReply first(eng.port(), checkin_frame(a, kDim, kClasses));
+  ASSERT_TRUE(gate.wait_entered(1));  // batch N is committing
+  PendingReply second(eng.port(), checkin_frame(b, kDim, kClasses));
+  ASSERT_TRUE(eventually([&] { return server.version() == 2; }))
+      << "batch N+1 was not applied while N committed";
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(first.arrived.load());
+  EXPECT_FALSE(second.arrived.load());
+  EXPECT_EQ(eng.board().version(), 0u);  // committed state only
+
+  gate.release();
+  EXPECT_TRUE(ok_ack(first.get()));
+  EXPECT_TRUE(ok_ack(second.get()));
+  EXPECT_EQ(commits.load(), 2);
+  EXPECT_EQ(eng.board().version(), 2u);
+
+  // The applier sat idle for the committer at least once; the histogram
+  // is a timing instrument and says so in its HELP line.
+  eng.shutdown();
+  const std::string text = reg.render_prometheus();
+  const std::size_t help = text.find("# HELP crowdml_engine_commit_wait_seconds");
+  ASSERT_NE(help, std::string::npos);
+  const std::string help_line = text.substr(help, text.find('\n', help) - help);
+  EXPECT_NE(help_line.find(obs::provenance_note(obs::Provenance::kTiming)),
+            std::string::npos);
+  EXPECT_NE(text.find("crowdml_engine_commit_wait_seconds_count 2"),
+            std::string::npos);
+}
+
+// A commit of batch N fails while batch N+1 is applied: N alone is
+// nacked, N+1 is acked once its own commit succeeds, and the log the
+// store wrote (N's records re-queued ahead of N+1's) recovers to exactly
+// the live server's state.
+TEST(Engine, FailedCommitNacksOnlyItsBatchAndTheLogStaysContiguous) {
+  constexpr std::size_t kDim = 24, kClasses = 3;
+  TempDir dir;
+  core::Server server(server_config(kDim, kClasses), sgd(0.1), rng::Engine(1));
+  net::AuthRegistry registry(rng::Engine(2));
+  const auto a = registry.enroll();
+  const auto b = registry.enroll();
+  store::DurableStoreOptions sopts;
+  sopts.wal.fsync = store::FsyncPolicy::kAlways;
+  sopts.wal.segment_max_bytes = 1;  // every record opens its own segment
+  store::DurableStore store(dir.path, sopts);
+  store.recover(server);
+  store.attach(server);
+  store.set_group_commit(true);
+  // A directory squatting on record 1's segment name: creating that
+  // segment fails until it is removed (a transient disk fault).
+  const std::string squatter = dir.path + "/wal-00000000000000000001.log";
+  std::filesystem::create_directory(squatter);
+
+  std::atomic<int> commits{0};
+  obs::MetricsRegistry reg;
+  engine::EngineConfig ecfg;
+  ecfg.metrics = &reg;
+  ecfg.group_commit = [&] {
+    if (commits.fetch_add(1) == 0) {
+      // Batch N commits once batch N+1 has been applied behind it.
+      EXPECT_TRUE(eventually([&] { return server.version() == 2; }));
+      const bool ok = store.commit_group();
+      std::filesystem::remove(squatter);
+      return ok;
+    }
+    return store.commit_group();
+  };
+  engine::EpollCrowdServer eng(server, registry, ecfg);
+
+  PendingReply first(eng.port(), checkin_frame(a, kDim, kClasses));
+  ASSERT_TRUE(eventually([&] { return commits.load() == 1; }));
+  PendingReply second(eng.port(), checkin_frame(b, kDim, kClasses));
+  const auto nack = first.get();
+  ASSERT_TRUE(nack.has_value());
+  const auto nack_msg =
+      net::AckMessage::deserialize(net::decode_frame(*nack).payload);
+  EXPECT_FALSE(nack_msg.ok);
+  EXPECT_EQ(nack_msg.reason, "durability failure");
+  EXPECT_TRUE(ok_ack(second.get()));
+  eng.shutdown();
+  EXPECT_EQ(eng.commit_failures(), 1);
+  EXPECT_EQ(store.wal().last_seq(), 2u);
+
+  core::Server recovered(server_config(kDim, kClasses), sgd(0.1),
+                         rng::Engine(9));
+  store::DurableStore reopened(dir.path, sopts);
+  reopened.recover(recovered);
+  EXPECT_EQ(recovered.version(), server.version());
+  EXPECT_EQ(recovered.parameters(), server.parameters());
+  for (const auto& creds : {a, b}) {
+    const auto live = server.device_stats(creds.device_id);
+    const auto back = recovered.device_stats(creds.device_id);
+    EXPECT_EQ(back.samples, live.samples);
+    EXPECT_EQ(back.checkins, live.checkins);
+    EXPECT_EQ(back.label_counts_hat, live.label_counts_hat);
+  }
+}
+
+// Shutdown while a commit is in flight: the applier waits for it,
+// releases that batch and the one behind it, and only then returns —
+// every applied record is committed and acked, none left behind.
+TEST(Engine, ShutdownReleasesTheBatchInFlight) {
+  constexpr std::size_t kDim = 24, kClasses = 3;
+  TempDir dir;
+  core::Server server(server_config(kDim, kClasses), sgd(0.1), rng::Engine(1));
+  net::AuthRegistry registry(rng::Engine(2));
+  std::vector<net::DeviceCredentials> creds;
+  for (int i = 0; i < 4; ++i) creds.push_back(registry.enroll());
+  store::DurableStoreOptions sopts;
+  sopts.wal.fsync = store::FsyncPolicy::kAlways;
+  store::DurableStore store(dir.path, sopts);
+  store.recover(server);
+  store.attach(server);
+  store.set_group_commit(true);
+  // History: records committed before the engine starts.
+  for (int i = 0; i < 3; ++i) {
+    net::CheckinMessage m;
+    m.device_id = 1000 + i;
+    m.g_hat.assign(kDim, 0.2);
+    m.ns = 5;
+    m.ny_hat.assign(kClasses, 1);
+    ASSERT_TRUE(server.handle_checkin(m).ok);
+  }
+  ASSERT_TRUE(store.commit_group());
+  const std::uint64_t history = server.version();
+
+  CommitGate gate;
+  std::atomic<int> commits{0};
+  obs::MetricsRegistry reg;
+  engine::EngineConfig ecfg;
+  ecfg.metrics = &reg;
+  ecfg.group_commit = [&] {
+    if (commits.fetch_add(1) == 0) gate.pass();
+    return store.commit_group();
+  };
+  auto eng = std::make_unique<engine::EpollCrowdServer>(server, registry, ecfg);
+
+  std::vector<std::unique_ptr<PendingReply>> replies;
+  replies.push_back(std::make_unique<PendingReply>(
+      eng->port(), checkin_frame(creds[0], kDim, kClasses)));
+  ASSERT_TRUE(gate.wait_entered(1));
+  for (std::size_t i = 1; i < creds.size(); ++i)
+    replies.push_back(std::make_unique<PendingReply>(
+        eng->port(), checkin_frame(creds[i], kDim, kClasses)));
+  ASSERT_TRUE(eventually([&] { return server.version() == history + 4; }));
+
+  std::thread stopper([&] { eng->shutdown(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate.release();
+  stopper.join();
+
+  long long acked = 0;
+  for (auto& r : replies) acked += ok_ack(r->get()) ? 1 : 0;
+  EXPECT_EQ(acked, 4);
+  EXPECT_EQ(static_cast<long long>(server.version() - history), acked);
+  EXPECT_EQ(store.wal().last_seq(), server.version());
 }
 
 // ----------------------------------------------------------- parity

@@ -388,6 +388,29 @@ TEST(Node, RestartRecoversEveryAckedCheckin) {
 // election through Node::tick — the promotion path crowdml-server runs —
 // and serves quorum-acked checkins; no checkin acked before the stop is
 // lost.
+// A follower whose vote port is taken refuses to build, with the reason,
+// instead of serving with no vote listener.
+TEST(Node, VoteListenerThatCannotBindRefusesToBuild) {
+  TempDir dir;
+  obs::MetricsRegistry reg;
+  auto squatter = net::TcpListener::bind("127.0.0.1", 0);
+  ASSERT_TRUE(squatter.has_value());
+  node::NodeConfig c = small_config(dir, reg);
+  c.repl.role = "follower";
+  c.repl.leader_addr = "127.0.0.1:1";
+  c.repl.election_timeout_ms = 500;
+  c.repl.vote_port = squatter->port();
+  c.repl.peers = "127.0.0.1:2";
+  try {
+    node::Node::build(c);
+    FAIL() << "built a follower whose vote port was taken";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "vote listener bind failed on port " +
+                  std::to_string(squatter->port()));
+  }
+}
+
 TEST(NodeFailover, FollowerPromotedByTickServesQuorumAckedCheckins) {
   TempDir ldir, f1dir, f2dir;
   obs::MetricsRegistry lreg, f1reg, f2reg;

@@ -27,7 +27,9 @@ COMMON="--classes 10 --dim 50 --auth-seed 7 --enroll 2 \
         --fsync always --report-every 0.2 --max-iterations 100000"
 
 # Vote listeners need fixed ports (each follower must name the other in
-# --peers before either has bound). Derive from the PID to avoid clashes.
+# --peers before either has bound). Derive from the PID to avoid clashes;
+# a port some other process already holds makes a follower refuse to
+# start, and both followers then restart on the next pair.
 VP1=$(( 20000 + ($$ % 20000) ))
 VP2=$(( VP1 + 1 ))
 
@@ -69,12 +71,36 @@ start_follower() {  # start_follower ID VOTE_PORT PEER_PORT TIMEOUT LOG
       --peers "127.0.0.1:$3" --repl-key-file key.hex \
       --follower-id "$1" --seed "$1" --max-read-lag 500 >> "$5" 2>&1 &
 }
-start_follower 1 "$VP1" "$VP2" 800 follower1.log
-F1_PID=$!
-PIDS="$PIDS $F1_PID"
-start_follower 2 "$VP2" "$VP1" 1600 follower2.log
-F2_PID=$!
-PIDS="$PIDS $F2_PID"
+followers_up() {  # 0 once both listen, 1 on a vote-port refusal
+  for _i in $(seq 1 50); do
+    if grep -q "vote listener bind failed" follower1.log follower2.log; then
+      return 1
+    fi
+    if grep -q "listening on" follower1.log &&
+        grep -q "listening on" follower2.log; then
+      return 0
+    fi
+    sleep 0.1
+  done
+  echo "timed out waiting for the followers to listen" >&2
+  cat follower1.log follower2.log >&2
+  exit 1
+}
+for _attempt in 1 2 3 4 5; do
+  : > follower1.log
+  : > follower2.log
+  start_follower 1 "$VP1" "$VP2" 800 follower1.log
+  F1_PID=$!
+  start_follower 2 "$VP2" "$VP1" 1600 follower2.log
+  F2_PID=$!
+  PIDS="$PIDS $F1_PID $F2_PID"
+  followers_up && break
+  cat follower1.log follower2.log
+  kill -TERM $F1_PID $F2_PID 2>/dev/null || true
+  wait $F1_PID $F2_PID 2>/dev/null || true
+  VP1=$(( VP1 + 2 ))
+  VP2=$(( VP1 + 1 ))
+done
 FPORT1=$(wait_line follower1.log \
     's/.*listening on 127.0.0.1:\([0-9]*\).*/\1/p' 50)
 FPORT2=$(wait_line follower2.log \

@@ -3,10 +3,13 @@
 // byte-for-byte crash-recovery determinism.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <thread>
 
 #include "net/messages.hpp"
 #include "net/sha256.hpp"
@@ -122,6 +125,28 @@ void expect_same_state(core::Server& a, core::Server& b) {
     EXPECT_EQ(sa.checkins, sb.checkins) << "device " << id;
     EXPECT_EQ(sa.label_counts_hat, sb.label_counts_hat) << "device " << id;
   }
+}
+
+/// Every file in `dir` by name, with its bytes.
+std::map<std::string, std::string> dir_contents(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    std::ifstream f(e.path(), std::ios::binary);
+    out[e.path().filename().string()].assign(
+        std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+  }
+  return out;
+}
+
+/// This process's write(2)-family syscall count, or -1 when
+/// /proc/self/io cannot be read.
+long long write_syscalls() {
+  std::ifstream f("/proc/self/io");
+  std::string key;
+  long long value = 0;
+  while (f >> key >> value)
+    if (key == "syscw:") return value;
+  return -1;
 }
 
 /// Replay stats plus the records seen, for assertions.
@@ -763,6 +788,53 @@ TEST(Wal, AppendBatchRotatesSegmentsLikeSingleAppends) {
   EXPECT_EQ(wal.rotations(), 4);
 }
 
+// One append of a framed batch writes the same files, byte for byte, as
+// record-at-a-time appends — segment boundaries included — and costs one
+// write(2) per segment it touches.
+TEST(Wal, BatchWrittenWithOneWritePerSegmentMatchesPerRecordBytes) {
+  std::vector<store::WalRecord> records;
+  for (std::uint64_t s = 1; s <= 12; ++s)
+    records.push_back({s, net::Bytes(8 + 7 * s, static_cast<std::uint8_t>(s))});
+  for (const std::size_t segment_max : {std::size_t{4u << 20}, std::size_t{150}}) {
+    SCOPED_TRACE("segment_max_bytes " + std::to_string(segment_max));
+    WalOptions opts;
+    opts.fsync = FsyncPolicy::kAlways;
+    opts.segment_max_bytes = segment_max;
+    TempDir per_record, batched;
+    {
+      WriteAheadLog wal(per_record.path, opts);
+      replay_all(wal);
+      for (const auto& r : records) wal.append(r.seq, r.payload);
+    }
+    long long writes = 0;
+    std::size_t segments_touched = 0;
+    {
+      WriteAheadLog wal(batched.path, opts);
+      replay_all(wal);
+      // Three records first, so the batch starts inside a segment.
+      for (std::size_t i = 0; i < 3; ++i)
+        wal.append(records[i].seq, records[i].payload);
+      const std::size_t segments_before = wal.segment_count();
+      store::WalBatch batch;
+      for (std::size_t i = 3; i < records.size(); ++i)
+        batch.add(records[i].seq, records[i].payload);
+      const long long before = write_syscalls();
+      wal.append(batch);
+      writes = write_syscalls() - before;
+      segments_touched = wal.segment_count() - segments_before + 1;
+      EXPECT_EQ(wal.last_seq(), 12u);
+      EXPECT_EQ(wal.fsyncs(), 3 + static_cast<long long>(segments_touched));
+    }
+    EXPECT_EQ(dir_contents(batched.path), dir_contents(per_record.path));
+    if (segment_max == 150) {
+      EXPECT_GT(segments_touched, 2u);
+    }
+    if (write_syscalls() >= 0) {
+      EXPECT_EQ(writes, static_cast<long long>(segments_touched));
+    }
+  }
+}
+
 TEST(DurableStore, GroupCommitBuffersUntilCommitThenOneFsync) {
   TempDir dir;
   DurableStoreOptions opts;
@@ -805,6 +877,91 @@ TEST(DurableStore, GroupCommitFailureReportsAndDoesNotPoison) {
   // The failed batch is not re-reported forever: records the log already
   // covers (by seq) are dropped, and the store keeps serving.
   EXPECT_TRUE(ds.commit_group());
+}
+
+// A failed commit puts its records back ahead of everything buffered
+// after it, so the next commit writes the log without a hole.
+TEST(DurableStore, FailedCommitRequeuesAheadOfLaterRecords) {
+  TempDir dir;
+  DurableStoreOptions opts;
+  opts.wal.fsync = FsyncPolicy::kAlways;
+  opts.wal.segment_max_bytes = 1;  // every record opens its own segment
+  core::Server witness(config(), sgd(), rng::Engine(1));
+  {
+    core::Server live(config(), sgd(), rng::Engine(1));
+    DurableStore ds(dir.path, opts);
+    ds.recover(live);
+    ds.attach(live);
+    ds.set_group_commit(true);
+    // Record 1's segment cannot be created while a directory holds its
+    // name: a transient disk fault.
+    const std::string squatter = dir.path + "/wal-00000000000000000001.log";
+    std::filesystem::create_directory(squatter);
+    rng::Engine eng(12);
+    for (int i = 0; i < 3; ++i) {
+      const auto msg = random_checkin(eng, 1 + i);
+      ASSERT_TRUE(live.handle_checkin(msg).ok);
+      ASSERT_TRUE(witness.handle_checkin(msg).ok);
+    }
+    const long long failures_before = ds.append_failures();
+    EXPECT_FALSE(ds.commit_group());
+    EXPECT_EQ(ds.append_failures() - failures_before, 3);
+    EXPECT_EQ(ds.wal().last_seq(), 0u);
+    for (int i = 0; i < 2; ++i) {
+      const auto msg = random_checkin(eng, 4 + i);
+      ASSERT_TRUE(live.handle_checkin(msg).ok);
+      ASSERT_TRUE(witness.handle_checkin(msg).ok);
+    }
+    std::filesystem::remove(squatter);
+    ASSERT_TRUE(ds.commit_group());
+    EXPECT_EQ(ds.wal().last_seq(), 5u);
+  }
+  core::Server recovered(config(), sgd(), rng::Engine(3));
+  DurableStore ds(dir.path, opts);
+  EXPECT_EQ(ds.recover(recovered).records_replayed, 5u);
+  expect_same_state(recovered, witness);
+}
+
+// The applied hook buffers the next batch while commit_group writes and
+// fsyncs the last one on another thread (the pipelined applier's shape);
+// the log still holds every record once, in order.
+TEST(DurableStore, AppliedHookRunsConcurrentlyWithCommitGroup) {
+  TempDir dir;
+  DurableStoreOptions opts;
+  opts.wal.fsync = FsyncPolicy::kAlways;
+  core::Server witness(config(), sgd(), rng::Engine(1));
+  std::uint64_t live_version = 0;
+  {
+    core::Server live(config(), sgd(), rng::Engine(1));
+    DurableStore ds(dir.path, opts);
+    ds.recover(live);
+    ds.attach(live);
+    ds.set_group_commit(true);
+    std::atomic<bool> done{false};
+    std::atomic<long long> commits{0};
+    std::thread committer([&] {
+      while (!done.load()) {
+        EXPECT_TRUE(ds.commit_group());
+        ++commits;
+      }
+    });
+    // Apply until several commits have run during the stream.
+    rng::Engine eng(13);
+    for (int i = 0; i < 300 || (commits.load() < 3 && i < 100'000); ++i) {
+      const auto msg = random_checkin(eng, 1 + (eng() % 8));
+      ASSERT_EQ(live.handle_checkin(msg).ok, witness.handle_checkin(msg).ok);
+    }
+    done.store(true);
+    committer.join();
+    ASSERT_TRUE(ds.commit_group());
+    EXPECT_GE(commits.load(), 3);
+    EXPECT_EQ(ds.wal().last_seq(), live.version());
+    live_version = live.version();
+  }
+  core::Server recovered(config(), sgd(), rng::Engine(4));
+  DurableStore ds(dir.path, opts);
+  EXPECT_EQ(ds.recover(recovered).records_replayed, live_version);
+  expect_same_state(recovered, witness);
 }
 
 TEST(DurableStore, SyncFlushesGroupBuffer) {

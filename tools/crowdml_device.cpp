@@ -32,6 +32,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -81,9 +82,30 @@ net::SecretKey parse_hex_key_file(const std::string& path) {
 int main(int argc, char** argv) {
   try {
     tools::Flags flags(argc, argv);
+    // Every numeric flag is range-checked before any file or socket is
+    // touched, with crowdml-server's parsers and messages.
+    constexpr long long kIntMax = std::numeric_limits<int>::max();
+    auto port = tools::get_port(flags, "port", 9000);
+    const auto classes = tools::get_count(flags, "classes", 10);
+    core::DeviceConfig dc;
+    dc.minibatch_size = tools::get_count(flags, "minibatch", 10);
+    const auto passes = static_cast<long long>(tools::get_count(flags, "passes", 1));
+    core::ReconnectPolicy rp;
+    rp.io_deadline_ms =
+        static_cast<int>(tools::get_in_range(flags, "io-deadline-ms", 5000, 1, kIntMax));
+    rp.connect_timeout_ms = static_cast<int>(
+        tools::get_in_range(flags, "connect-timeout-ms", 2000, 1, kIntMax));
+    rp.max_attempts =
+        static_cast<int>(tools::get_in_range(flags, "max-attempts", 8, 1, kIntMax));
+    rp.backoff_max_ms = static_cast<int>(
+        tools::get_in_range(flags, "backoff-max-ms", 2000, 0, kIntMax));
+    const auto device_class =
+        static_cast<std::uint8_t>(tools::get_in_range(flags, "device-class", 0, 0, 255));
+    const double eps = flags.get_double("epsilon", 10.0);
+    const long long seed = flags.get_int("seed", 99);
+
     const net::DeviceCredentials cred = parse_key(flags.get("key", ""));
     std::string host = flags.get("host", "127.0.0.1");
-    auto port = static_cast<std::uint16_t>(flags.get_int("port", 9000));
     const std::string shard_map_csv = flags.get("shard-map", "");
     if (!shard_map_csv.empty()) {
       // Hash-route to the home shard so the first checkin lands where it
@@ -109,7 +131,6 @@ int main(int argc, char** argv) {
     if (samples.empty()) throw std::runtime_error("no samples in " + data_path);
     data::l1_normalize_features(samples);
     const std::size_t dim = samples.front().x.size();
-    const auto classes = static_cast<std::size_t>(flags.get_int("classes", 10));
 
     // Model must match the server's dimensions.
     std::unique_ptr<models::Model> model;
@@ -119,21 +140,10 @@ int main(int argc, char** argv) {
     else
       model = std::make_unique<models::RidgeRegression>(dim, 0.0, 1.0);
 
-    core::DeviceConfig dc;
-    dc.minibatch_size = static_cast<std::size_t>(flags.get_int("minibatch", 10));
-    const double eps = flags.get_double("epsilon", 10.0);
     if (eps > 0.0) dc.budget = privacy::PrivacyBudget::gradient_dominated(eps);
-
-    const long long seed = flags.get_int("seed", 99);
     core::Device device(dc, *model, rng::Engine(seed));
     device.set_credentials(cred);
 
-    core::ReconnectPolicy rp;
-    rp.io_deadline_ms = static_cast<int>(flags.get_int("io-deadline-ms", 5000));
-    rp.connect_timeout_ms =
-        static_cast<int>(flags.get_int("connect-timeout-ms", 2000));
-    rp.max_attempts = static_cast<int>(flags.get_int("max-attempts", 8));
-    rp.backoff_max_ms = static_cast<int>(flags.get_int("backoff-max-ms", 2000));
     core::ReconnectingDeviceSession session(
         host, port, rp, rng::Engine(static_cast<std::uint64_t>(seed) ^ 0xD1CE),
         /*counters=*/nullptr, /*trace=*/nullptr, device.id());
@@ -146,15 +156,13 @@ int main(int argc, char** argv) {
           "--secagg-cohort requires --secagg-key-file (the fleet masking "
           "key; ask your fleet operator, never the server)");
 
-    const auto passes = flags.get_int("passes", 1);
     long long cycles = 0;
 
     if (secf.enabled) {
       core::SecAggDeviceClient::Options sopts;
       sopts.fleet_key = parse_hex_key_file(secf.key_file);
       sopts.min_survivors = static_cast<std::size_t>(secf.min_survivors);
-      sopts.device_class =
-          static_cast<std::uint8_t>(flags.get_int("device-class", 0));
+      sopts.device_class = device_class;
       sopts.sleep_ms = [](std::uint32_t ms) {
         std::this_thread::sleep_for(std::chrono::milliseconds(ms));
       };

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -89,24 +90,34 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
+/// An integer flag in [min, max]; anything else throws.
+inline long long get_in_range(const Flags& flags, const std::string& name,
+                              long long fallback, long long min,
+                              long long max) {
+  const long long n = flags.get_int(name, fallback);
+  if (n < min || n > max)
+    throw std::invalid_argument(
+        "--" + name + ": must be " +
+        (max == std::numeric_limits<long long>::max()
+             ? ">= " + std::to_string(min)
+             : "in " + std::to_string(min) + ".." + std::to_string(max)) +
+        ", got " + std::to_string(n));
+  return n;
+}
+
 /// A port flag: 0 (ephemeral) through 65535; anything else throws.
-inline std::uint16_t get_port(const Flags& flags, const std::string& name) {
-  const long long port = flags.get_int(name, 0);
-  if (port < 0 || port > 65535)
-    throw std::invalid_argument("--" + name + ": must be in 0..65535, got " +
-                                std::to_string(port));
-  return static_cast<std::uint16_t>(port);
+inline std::uint16_t get_port(const Flags& flags, const std::string& name,
+                              std::uint16_t fallback = 0) {
+  return static_cast<std::uint16_t>(
+      get_in_range(flags, name, fallback, 0, 65535));
 }
 
 /// A count flag that must be at least 1; anything else throws.
 inline std::size_t get_count(const Flags& flags, const std::string& name,
                              std::size_t fallback) {
-  const long long n =
-      flags.get_int(name, static_cast<long long>(fallback));
-  if (n < 1)
-    throw std::invalid_argument("--" + name + ": must be >= 1, got " +
-                                std::to_string(n));
-  return static_cast<std::size_t>(n);
+  return static_cast<std::size_t>(
+      get_in_range(flags, name, static_cast<long long>(fallback), 1,
+                   std::numeric_limits<long long>::max()));
 }
 
 /// Throws `refusal` when `given`: a flag present where it means nothing.
