@@ -33,7 +33,8 @@ Coordinator::Coordinator(CoordConfig config, DeviceClassTable classes)
           obs::Provenance::kTransportEvent)),
       service_rate_(registry_of(config).gauge(
           "crowdml_coord_service_rate_per_s",
-          "EWMA applier throughput, records / (apply + commit seconds)",
+          "Projected applier capacity, batch_max / max(batch_max x "
+          "apply seconds per record, commit seconds), from EWMAs",
           obs::Provenance::kTiming)),
       pressure_(registry_of(config).gauge(
           "crowdml_coord_pressure",

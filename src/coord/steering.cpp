@@ -42,8 +42,10 @@ void PaceSteering::observe_commit(std::size_t records, double apply_seconds,
   // measurement-starvation spiral that locks the fleet at a trickle.
   // Instead track the per-record apply cost and the per-batch commit
   // latency separately; what a saturated applier could absorb is then
-  //   batch_max / (batch_max·apply_per_record + commit)
-  // regardless of how full this particular batch was.
+  //   batch_max / max(batch_max·apply_per_record, commit)
+  // regardless of how full this particular batch was: the applier
+  // applies batch N+1 while batch N commits, so a cycle lasts as long
+  // as the slower of the two.
   const double apply_per =
       std::max(apply_seconds / static_cast<double>(records), 1e-9);
   const double prev_apply =
@@ -59,9 +61,9 @@ void PaceSteering::observe_commit(std::size_t records, double apply_seconds,
   commit_seconds_.store(commit_ewma, std::memory_order_relaxed);
   const double batch = static_cast<double>(std::max<std::size_t>(
       1, cfg_.batch_max));
-  service_rate_.store(batch / std::max(batch * apply_ewma + commit_ewma,
-                                       1e-9),
-                      std::memory_order_relaxed);
+  service_rate_.store(
+      batch / std::max({batch * apply_ewma, commit_ewma, 1e-9}),
+      std::memory_order_relaxed);
 }
 
 void PaceSteering::observe_depth(std::size_t depth) {

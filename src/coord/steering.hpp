@@ -14,8 +14,9 @@
 //   target rate R = service_rate × target_utilization × fill_throttle
 //
 //   - service_rate: projected applier *capacity*, batch_max /
-//     (batch_max·apply_per_record + commit_latency), from EWMAs of the
-//     per-record apply cost and the per-batch group-commit latency
+//     max(batch_max·apply_per_record, commit_latency) — the applier
+//     applies one batch while the previous one commits — from EWMAs of
+//     the per-record apply cost and the per-batch group-commit latency
 //     (fsync stalls included) — NOT achieved throughput, which collapses
 //     with arrivals once steering works and would spiral the fleet down
 //     (see observe_commit);
@@ -90,8 +91,9 @@ class PaceSteering {
  public:
   PaceSteering(SteeringConfig cfg, DeviceClassTable classes);
 
-  /// Applier feed: one drained batch of `records` checkins took
-  /// `apply_seconds` to apply and `commit_seconds` to group-commit.
+  /// Applier feed: one batch of `records` checkins took `apply_seconds`
+  /// of applier work (time spent waiting for arrivals or for the
+  /// committer excluded) and `commit_seconds` to group-commit.
   void observe_commit(std::size_t records, double apply_seconds,
                       double commit_seconds);
 

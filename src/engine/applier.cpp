@@ -3,6 +3,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -103,8 +104,8 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
 /// commits and never wakes on a timer.
 class Committer {
  public:
-  Committer(const std::function<bool()>& commit, CheckinQueue& queue)
-      : commit_(commit), queue_(queue), thread_([this] { run(); }) {}
+  explicit Committer(CheckinQueue& queue)
+      : queue_(queue), thread_([this] { run(); }) {}
   ~Committer() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -116,10 +117,11 @@ class Committer {
   Committer(const Committer&) = delete;
   Committer& operator=(const Committer&) = delete;
 
-  /// Start a commit; only while none is in flight.
-  void start() {
+  /// Start committing through `hook`; only while no commit is in flight.
+  void start(std::function<bool()> hook) {
     {
       std::lock_guard<std::mutex> lock(mu_);
+      hook_ = std::move(hook);
       state_ = State::kRunning;
     }
     cv_.notify_all();
@@ -153,7 +155,7 @@ class Committer {
       if (state_ != State::kRunning) return;
       lock.unlock();
       const Clock::time_point start = Clock::now();
-      const bool ok = commit_();
+      const bool ok = hook_();
       const double seconds = seconds_between(start, Clock::now());
       lock.lock();
       ok_ = ok;
@@ -166,11 +168,11 @@ class Committer {
     }
   }
 
-  const std::function<bool()>& commit_;
   CheckinQueue& queue_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   State state_ = State::kIdle;
+  std::function<bool()> hook_;  // the hook of the commit in flight
   bool ok_ = false;
   double seconds_ = 0.0;
   bool stop_ = false;
@@ -189,7 +191,7 @@ struct Batch {
   /// Internal records applied up to the seal; a successful commit of this
   /// batch covers them.
   std::size_t records_covered = 0;
-  Clock::time_point apply_start;
+  /// Time spent applying this batch's requests, not waiting for them.
   double apply_seconds = 0.0;
   std::shared_ptr<ModelSnapshot> snapshot;
 
@@ -239,7 +241,9 @@ void run_applier(const ApplierParts& p) {
   // `cur` is being applied; `flight` is committing while `in_flight`.
   Batch cur, flight;
   bool in_flight = false;
-  Committer committer(p.commit, p.queue);
+  // Started on the first batch that has a hook to run: an applier whose
+  // commit is a no-op never hands a batch to another thread.
+  std::optional<Committer> committer;
   using Outbox = std::vector<std::pair<std::uint64_t, net::Bytes>>;
   std::vector<std::pair<EventLoop*, Outbox>> by_loop;
   // The park step's state (applier thread only; empty without secagg):
@@ -264,6 +268,14 @@ void run_applier(const ApplierParts& p) {
   // When the applier last ran out of work with a batch in flight.
   bool idle = false;
   Clock::time_point idle_since;
+  // Held requests: parked, owed after a failed commit, and owed replies
+  // riding the batch in flight (still unanswered until it is released).
+  const auto set_parked_gauge = [&] {
+    if (!parked_gauge) return;
+    std::size_t n = parked.size() + held.size();
+    if (in_flight) n += flight.work.size() - flight.arrived;
+    parked_gauge->set(static_cast<double>(n));
+  };
 
   // The release step: everything that waits for `b`'s commit to return.
   const auto release = [&](Batch& b, bool committed, double commit_seconds) {
@@ -309,8 +321,7 @@ void run_applier(const ApplierParts& p) {
     if (b.snapshot &&
         (!p.publish_paused || !p.publish_paused->load(std::memory_order_acquire)))
       p.board.install(std::move(b.snapshot));
-    if (parked_gauge)
-      parked_gauge->set(static_cast<double>(parked.size() + held.size()));
+    set_parked_gauge();
 
     // Internal records and parked requests have no destination here.
     by_loop.clear();
@@ -331,17 +342,22 @@ void run_applier(const ApplierParts& p) {
     b.clear();
   };
 
-  // Hand `cur` to the committer (or release it now when it owes no
-  // commit); either way `cur` is empty afterwards.
+  // Hand `cur` to the committer, or release it now when it owes no
+  // commit or there is no hook to commit it with; either way `cur` is
+  // empty afterwards.
   const auto seal = [&](bool commit_due) {
     cur.records_covered = uncommitted_records;
-    if (!commit_due) {
+    std::function<bool()> hook;
+    if (commit_due) hook = p.commit();
+    if (!hook) {
+      if (commit_due) uncommitted_records -= cur.records_covered;
       release(cur, true, 0.0);
       return;
     }
     std::swap(cur, flight);
     in_flight = true;
-    committer.start();
+    if (!committer) committer.emplace(p.queue);
+    committer->start(std::move(hook));
   };
 
   for (;;) {
@@ -351,7 +367,7 @@ void run_applier(const ApplierParts& p) {
     const bool drained_in_flight = in_flight;
     std::size_t n = 0;
     if (in_flight && (closing || cur.arrived >= p.batch_max)) {
-      committer.wait();
+      committer->wait();
     } else {
       int wait_ms = 100;
       if (!parked.empty()) {
@@ -367,7 +383,7 @@ void run_applier(const ApplierParts& p) {
       p.closed->take(closed);
       std::erase_if(parked, gone);
       std::erase_if(held, [&](const auto& h) { return gone(h.first); });
-      parked_gauge->set(static_cast<double>(parked.size() + held.size()));
+      set_parked_gauge();
     }
 
     // Apply what this pass drained, in arrival order.
@@ -375,7 +391,7 @@ void run_applier(const ApplierParts& p) {
       idle = false;
       // Steering input: the backlog left behind by this drain.
       if (p.coordinator) p.coordinator->observe_queue_depth(p.queue.depth());
-      if (cur.arrived == 0) cur.apply_start = Clock::now();
+      const Clock::time_point apply_start = Clock::now();
       cur.responses.reserve(cur.arrived + n);
       cur.classes.reserve(cur.arrived + n);
       for (std::size_t k = cur.arrived; k < cur.arrived + n; ++k) {
@@ -401,6 +417,7 @@ void run_applier(const ApplierParts& p) {
         cur.classes.push_back(cls);
       }
       cur.arrived += n;
+      cur.apply_seconds += seconds_between(apply_start, Clock::now());
     } else if (in_flight && !idle) {
       idle = true;
       idle_since = pass_start;
@@ -408,9 +425,9 @@ void run_applier(const ApplierParts& p) {
 
     // Release: batch N's acks leave only once its commit has returned.
     if (in_flight) {
-      if (!committer.done()) continue;
+      if (!committer->done()) continue;
       double commit_seconds = 0.0;
-      const bool committed = committer.take(&commit_seconds);
+      const bool committed = committer->take(&commit_seconds);
       in_flight = false;
       commit_wait_seconds.observe(
           idle ? seconds_between(idle_since, Clock::now()) : 0.0);
@@ -444,6 +461,7 @@ void run_applier(const ApplierParts& p) {
     // answered. Asking may itself move the manager (a deadline acted
     // on), so repeat until a pass changes nothing. When closing, every
     // parked request is answered, ready or not.
+    const Clock::time_point owed_start = Clock::now();
     const bool owed = rehandle || !held.empty();
     for (auto& [work, response] : held) {
       cur.work.push_back(std::move(work));
@@ -469,16 +487,14 @@ void run_applier(const ApplierParts& p) {
       seen_changes = p.secagg->changes();
     }
     cur.classes.resize(cur.work.size(), net::kDefaultDeviceClass);
+    cur.apply_seconds += seconds_between(owed_start, Clock::now());
 
     if (p.records) p.records->end_batch();
     // The snapshot is taken now, while nothing else is applied, and
     // installed at release: the board never shows uncommitted state.
     if (!p.publish_paused || !p.publish_paused->load(std::memory_order_acquire))
       cur.snapshot = ModelSnapshotBoard::snapshot(p.server);
-    if (cur.arrived > 0) {
-      batch_size.observe(static_cast<double>(cur.arrived));
-      cur.apply_seconds = seconds_between(cur.apply_start, Clock::now());
-    }
+    if (cur.arrived > 0) batch_size.observe(static_cast<double>(cur.arrived));
     seal(cur.client_frames > 0 || owed ||
          (p.records && uncommitted_records >= kRecordFlush));
   }

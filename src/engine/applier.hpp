@@ -22,7 +22,9 @@
 //              meanwhile);
 //   commit     one group commit for the whole batch (one WAL fsync, plus
 //              the replication quorum wait when a shipper is wired in),
-//              run by the applier's committer thread;
+//              run by the applier's committer thread; with no commit
+//              hook installed the batch skips to release on the applier
+//              thread;
 //   nack       on commit failure every ok-ack in the batch becomes a
 //              "durability failure" nack — the acks have not left yet, so
 //              acked => durable never lies. Replies to held requests
@@ -121,10 +123,12 @@ struct ApplierParts {
   core::ProtocolServer& protocol;
   ModelSnapshotBoard& board;
   std::size_t batch_max = 256;
-  /// Group commit for the batch sealed last; false nacks its ok-acks.
-  /// Called from the applier's committer thread, one call at a time,
-  /// while the applier thread applies the next batch.
-  std::function<bool()> commit;
+  /// The group-commit hook for the batch being sealed, asked once per
+  /// batch on the applier thread; empty means nothing to commit, and the
+  /// batch is released at once. The hook runs on the applier's committer
+  /// thread, one call at a time, while the applier thread applies the
+  /// next batch; false nacks the batch's ok-acks.
+  std::function<std::function<bool()>()> commit;
   /// Pace steering: fed queue depth and apply/commit timings, stamps
   /// checkin-ack hints. Null disables (ack bytes unchanged).
   coord::Coordinator* coordinator = nullptr;

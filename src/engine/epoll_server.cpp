@@ -297,15 +297,11 @@ void EpollCrowdServer::set_group_commit(std::function<bool()> hook) {
   group_commit_ = std::move(hook);
 }
 
-bool EpollCrowdServer::group_commit() {
+std::function<bool()> EpollCrowdServer::group_commit() {
   // Copied under its lock each batch so promotion can swap the hook in
   // between commits.
-  std::function<bool()> commit;
-  {
-    std::lock_guard<std::mutex> lock(gc_mu_);
-    commit = group_commit_;
-  }
-  return !commit || commit();
+  std::lock_guard<std::mutex> lock(gc_mu_);
+  return group_commit_;
 }
 
 void EpollCrowdServer::shutdown() {

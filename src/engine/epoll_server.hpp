@@ -79,7 +79,8 @@ struct EngineConfig {
   /// nacks the whole batch's acks ("durability failure"). Wire
   /// store::DurableStore::commit_group here (after
   /// set_group_commit(true)); leave null when no durability layer is
-  /// attached (or it appends per record).
+  /// attached (or it appends per record), and the applier then releases
+  /// each batch itself, with no committer thread.
   std::function<bool()> group_commit;
   /// Follower mode (read replica): when set to the leader's device
   /// address ("host:port"), checkins are refused on the I/O thread with
@@ -212,7 +213,7 @@ class EpollCrowdServer {
  private:
   void accept_loop();
   /// The applier's commit step: the current group-commit hook, if any.
-  bool group_commit();
+  std::function<bool()> group_commit();
   /// Frame dispatch on an I/O thread: auth-valid checkouts are answered
   /// from the board; everything else is queued for the applier or shed.
   void on_frame(EventLoop* loop, std::uint64_t conn_id, net::Bytes&& frame);

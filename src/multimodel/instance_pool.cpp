@@ -146,8 +146,9 @@ void ModelInstancePool::start() {
                            .board = s->board,
                            .batch_max = opts_.checkin_batch_max,
                            .commit =
-                               [s] {
-                                 return !s->store || s->store->commit_group();
+                               [s]() -> std::function<bool()> {
+                                 if (!s->store) return nullptr;
+                                 return [s] { return s->store->commit_group(); };
                                },
                            .coordinator = s->coordinator.get(),
                            .records = slots_.size() > 1 ? s : nullptr,

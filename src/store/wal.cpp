@@ -679,15 +679,6 @@ void WriteAheadLog::append(std::uint64_t seq, const net::Bytes& payload) {
   append(batch);
 }
 
-void WriteAheadLog::append_batch(const std::vector<WalRecord>& records) {
-  WalBatch batch;
-  std::size_t payload_bytes = 0;
-  for (const WalRecord& r : records) payload_bytes += r.payload.size();
-  batch.reserve(records.size(), payload_bytes);
-  for (const WalRecord& r : records) batch.add(r.seq, r.payload);
-  append(batch);
-}
-
 void WriteAheadLog::append(const WalBatch& batch) {
   if (batch.empty()) return;
   obs::TimedScope timer(append_seconds_);

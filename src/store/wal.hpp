@@ -216,8 +216,6 @@ class WriteAheadLog {
   /// land; last_seq() advances only past written records, which is how
   /// the caller tells the written prefix from the rest.
   void append(const WalBatch& batch);
-  /// Frame `records` into a WalBatch and append it as above.
-  void append_batch(const std::vector<WalRecord>& records);
 
   /// Force an fsync of the active segment (no-op when nothing is unsynced).
   void sync();

@@ -6,6 +6,7 @@
 // smoke run with steering on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 
@@ -273,10 +274,11 @@ TEST(CoordSteering, CapacityProjectionIgnoresBatchFill) {
   auto cfg = steering_config();
   coord::PaceSteering full(cfg, coord::DeviceClassTable());
   coord::PaceSteering starved(cfg, coord::DeviceClassTable());
-  // 1ms/record apply, 10ms commit => 64 / (64*0.001 + 0.010) ~= 864.9/s.
+  // 1ms/record apply, 10ms commit, applied while the previous batch
+  // commits => 64 / max(64*0.001, 0.010) = 1000/s.
   full.observe_commit(64, 0.064, 0.010);
   starved.observe_commit(1, 0.001, 0.010);
-  const double expect = 64.0 / (64.0 * 0.001 + 0.010);
+  const double expect = 64.0 / std::max(64.0 * 0.001, 0.010);
   EXPECT_NEAR(full.service_rate_per_s(), expect, 1.0);
   EXPECT_NEAR(starved.service_rate_per_s(), expect, 1.0);
 }
@@ -328,8 +330,8 @@ TEST(CoordSteering, OverloadThrottlesAndStretchesLowPriority) {
 TEST(CoordSteering, SaturatedQueueFloorsHintsAtDrainHorizon) {
   auto cfg = steering_config();
   coord::PaceSteering s(cfg, coord::DeviceClassTable());
-  // service ~100/s measured, 100-deep backlog => ~1s to drain.
-  s.observe_commit(64, 0.576, 0.064);  // 64/(64*0.009+0.064) ~= 100/s
+  // service ~111/s measured, 100-deep backlog => ~0.9s to drain.
+  s.observe_commit(64, 0.576, 0.064);  // 64/max(64*0.009, 0.064) ~= 111/s
   s.observe_depth(cfg.queue_max);
   EXPECT_GE(s.next_hint_ms(0), 800u);
 }

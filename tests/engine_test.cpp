@@ -796,6 +796,70 @@ TEST(Engine, ShutdownReleasesTheBatchInFlight) {
   EXPECT_EQ(store.wal().last_seq(), server.version());
 }
 
+// Pace steering is fed the applier's own work per batch, not the time
+// it sat waiting for arrivals or for the committer. With a 50 ms commit
+// and checkins arriving throughout it, each batch spans a whole commit
+// but takes well under a millisecond to apply, so the service-rate
+// estimate stays near batch_max / commit (1280/s). Counting the wait as
+// apply time would put it near what one commit's arrivals fill (~80/s).
+TEST(Engine, PaceSteeringMeasuresApplyWorkNotCommitWait) {
+  constexpr std::size_t kDim = 24, kClasses = 3, kBatchMax = 64;
+  constexpr int kClients = 4, kCheckinsEach = 8;
+  static constexpr double kCommitSeconds = 0.050;
+  core::Server server(server_config(kDim, kClasses), sgd(0.1), rng::Engine(1));
+  net::AuthRegistry registry(rng::Engine(2));
+  obs::MetricsRegistry reg;
+  coord::CoordConfig ccfg;
+  ccfg.steering.batch_max = kBatchMax;
+  ccfg.metrics = &reg;
+  coord::Coordinator coordinator(ccfg, coord::DeviceClassTable());
+  engine::EngineConfig ecfg;
+  ecfg.metrics = &reg;
+  ecfg.coordinator = &coordinator;
+  ecfg.checkin_batch_max = kBatchMax;
+  ecfg.group_commit = [] {
+    std::this_thread::sleep_for(std::chrono::duration<double>(kCommitSeconds));
+    return true;
+  };
+  engine::EpollCrowdServer eng(server, registry, ecfg);
+
+  std::atomic<int> acked{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c)
+    clients.emplace_back([&, creds = registry.enroll()] {
+      core::TcpDeviceSession session("127.0.0.1", eng.port());
+      for (int i = 0; i < kCheckinsEach; ++i)
+        if (ok_ack(session.exchange(checkin_frame(creds, kDim, kClasses))))
+          ++acked;
+    });
+  for (auto& t : clients) t.join();
+  eng.shutdown();
+  EXPECT_EQ(acked.load(), kClients * kCheckinsEach);
+  EXPECT_GT(coordinator.steering().service_rate_per_s(),
+            0.5 * static_cast<double>(kBatchMax) / kCommitSeconds);
+}
+
+// With no commit hook there is nothing to wait for: every batch is
+// released on the applier thread and none goes through a committer.
+TEST(Engine, WithoutACommitHookNoBatchWaitsForACommitter) {
+  constexpr std::size_t kDim = 24, kClasses = 3;
+  core::Server server(server_config(kDim, kClasses), sgd(0.1), rng::Engine(1));
+  net::AuthRegistry registry(rng::Engine(2));
+  const auto creds = registry.enroll();
+  obs::MetricsRegistry reg;
+  engine::EngineConfig ecfg;
+  ecfg.metrics = &reg;
+  engine::EpollCrowdServer eng(server, registry, ecfg);
+  core::TcpDeviceSession session("127.0.0.1", eng.port());
+  for (int i = 0; i < 3; ++i)
+    EXPECT_TRUE(ok_ack(session.exchange(checkin_frame(creds, kDim, kClasses))));
+  eng.shutdown();
+  const std::string text = reg.render_prometheus();
+  EXPECT_NE(text.find("crowdml_engine_batch_size_count 3"), std::string::npos);
+  EXPECT_NE(text.find("crowdml_engine_commit_wait_seconds_count 0"),
+            std::string::npos);
+}
+
 // ----------------------------------------------------------- parity
 
 // The engine answers exactly as core::ProtocolServer would: for one

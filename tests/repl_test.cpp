@@ -347,15 +347,14 @@ void fill_wal(const std::string& dir, std::uint64_t n,
   wo.segment_max_bytes = segment_max_bytes;
   store::WriteAheadLog wal(dir, wo);
   wal.open_and_replay(0, [](std::uint64_t, const net::Bytes&) {});
-  std::vector<store::WalRecord> batch;
+  store::WalBatch batch;
   for (std::uint64_t s = 1; s <= n; ++s) {
-    store::WalRecord r;
-    r.seq = s;
+    net::Bytes payload;
     for (std::size_t i = 0; i < payload_bytes; ++i)
-      r.payload.push_back(static_cast<std::uint8_t>(s + i));
-    batch.push_back(std::move(r));
+      payload.push_back(static_cast<std::uint8_t>(s + i));
+    batch.add(s, payload);
   }
-  wal.append_batch(batch);
+  wal.append(batch);
 }
 
 std::uint64_t dir_bytes(const std::string& dir) {
