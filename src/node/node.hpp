@@ -71,6 +71,10 @@ class Node {
   bool leading() const { return !follower_ || shipper_ != nullptr; }
   /// Checkins applied, summed over the model instances.
   std::uint64_t iteration() const;
+  /// Model instance `i`'s server (0 <= i < --model-instances).
+  const core::Server& server(std::size_t i) const {
+    return *instances_[i].server;
+  }
   const std::vector<net::DeviceCredentials>& enrolled() const {
     return enrolled_;
   }

@@ -511,3 +511,45 @@ TEST(NodeFailover, FollowerPromotedByTickServesQuorumAckedCheckins) {
   f1->shutdown();
   f2->shutdown();
 }
+
+// A draw-and-discard pool of two instances with pace steering, served
+// through the node's device port: every checkin ack carries its
+// instance's pacing hint, and a node rebuilt on the same --wal-dir
+// recovers each instance's version and parameters.
+TEST(Node, PoolServesSteeredCheckinsAndRecoversEveryInstance) {
+  TempDir dir;
+  obs::MetricsRegistry reg;
+  node::NodeConfig cfg = small_config(dir, reg);
+  cfg.model_instances = 2;
+  cfg.coord.enabled = true;
+  std::vector<std::uint64_t> versions;
+  std::vector<linalg::Vector> params;
+  {
+    auto pool = node::Node::build(cfg);
+    auto conn = net::TcpConnection::connect("127.0.0.1", pool->port(), 2000);
+    ASSERT_TRUE(conn);
+    rng::Engine eng(5);
+    for (int i = 0; i < 30; ++i) {
+      const auto ack = send_checkin(
+          *conn, checkin_frame(eng, pool->enrolled()[i % 2]));
+      ASSERT_TRUE(ack);
+      EXPECT_TRUE(ack->ok) << ack->reason;
+      EXPECT_GT(ack->next_checkin_hint_ms, 0u);
+    }
+    pool->shutdown();
+    for (std::size_t i = 0; i < 2; ++i) {
+      versions.push_back(pool->server(i).version());
+      params.push_back(pool->server(i).parameters());
+      // Both instances applied checkins (routes are uniform).
+      EXPECT_GT(versions.back(), 0u) << "instance " << i;
+    }
+    EXPECT_EQ(pool->iteration(), versions[0] + versions[1]);
+  }
+  auto restarted = node::Node::build(cfg);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(restarted->server(i).version(), versions[i]) << "instance " << i;
+    EXPECT_EQ(restarted->server(i).parameters(), params[i])
+        << "instance " << i;
+  }
+  restarted->shutdown();
+}
