@@ -10,8 +10,8 @@
 //   epoll+group  the full engine: batched applier, one fsync per batch.
 //
 // Plus the draw-and-discard pool (src/multimodel/) at k in {1, 2, 4, 8}
-// instances on 256 connections: k parallel appliers, each group-
-// committing its own WAL stream — the applier-scaling numbers behind
+// instances on 256 connections: k engine lanes, each lane's applier
+// group-committing its own WAL stream — the applier-scaling numbers behind
 // docs/SCALING.md "Draw-and-discard multi-model serving".
 //
 // Clients are raw protocol loops over real localhost TCP — pre-encoded
@@ -214,8 +214,8 @@ Result run_mode(Mode mode, std::size_t conns, long long total) {
   return r;
 }
 
-/// Draw-and-discard pool: k appliers, k WAL streams (fsync=always, group
-/// commit per instance), served through the engine's multimodel hooks.
+/// Draw-and-discard pool: k engine lanes, k WAL streams (fsync=always,
+/// group commit per instance), each lane carrying its discard step.
 ///
 /// Pool rows run at commit-per-update cadence (checkin_batch_max = 1):
 /// every acked update is its own group-commit tick, so the row measures
@@ -233,39 +233,47 @@ Result run_pool(std::size_t k, std::size_t conns, long long total) {
     net::AuthRegistry registry(rng::Engine(2));
     obs::MetricsRegistry metrics;
 
-    multimodel::PoolOptions popts;
-    popts.instances = k;
-    popts.seed = 1;
-    popts.checkin_queue_max = 4096;
-    popts.checkin_batch_max = 1;  // commit-per-update (see above)
-    popts.wal_dir = dir;
-    popts.store.wal.fsync = store::FsyncPolicy::kAlways;
-    popts.metrics = &metrics;
-    const auto factory = [](std::size_t i) {
+    std::vector<std::unique_ptr<core::Server>> servers;
+    std::vector<std::unique_ptr<store::DurableStore>> stores;
+    std::vector<std::unique_ptr<multimodel::DiscardRecords>> discards;
+    std::vector<engine::LaneConfig> lanes;
+    for (std::size_t i = 0; i < k; ++i) {
       core::ServerConfig cfg;
       cfg.param_dim = kClasses * kDim;
       cfg.num_classes = kClasses;
-      return std::make_unique<core::Server>(
+      servers.push_back(std::make_unique<core::Server>(
           cfg,
           std::make_unique<opt::SgdUpdater>(
               std::make_unique<opt::SqrtDecaySchedule>(50.0), 500.0),
-          rng::Engine(1).split(i));
-    };
-    multimodel::ModelInstancePool pool(registry, factory, popts);
-    pool.start();
+          rng::Engine(1).split(i)));
+      store::DurableStoreOptions sopts;
+      sopts.wal.fsync = store::FsyncPolicy::kAlways;
+      multimodel::install_overwrite_replay(sopts);
+      stores.push_back(std::make_unique<store::DurableStore>(
+          store::DurableStore::instance_dir(dir, i, k), sopts));
+      store::DurableStore* s = stores.back().get();
+      s->recover(*servers.back());
+      s->attach(*servers.back());
+      s->set_group_commit(true);
+      if (k > 1)
+        discards.push_back(std::make_unique<multimodel::DiscardRecords>(
+            i, k, 1, *servers.back(), s, &metrics));
+      lanes.push_back({.server = *servers.back(),
+                       .group_commit = [s] { return s->commit_group(); },
+                       .records = k > 1 ? discards.back().get() : nullptr});
+    }
 
     engine::EngineConfig ecfg;
     ecfg.max_connections = conns + 8;
     ecfg.checkin_queue_max = 4096;
+    ecfg.checkin_batch_max = 1;  // commit-per-update (see above)
     ecfg.metrics = &metrics;
-    multimodel::wire_engine(pool, ecfg);
-    engine::EpollCrowdServer epoll_srv(pool.server(0), registry, ecfg);
+    engine::EpollCrowdServer epoll_srv(std::move(lanes), registry, ecfg, 1);
 
     r = drive(epoll_srv.port(), registry, conns, total);
-    for (std::size_t i = 0; i < k; ++i)
-      r.fsyncs += pool.store(i)->wal().fsyncs();
-    r.version = pool.total_version();
-    epoll_srv.shutdown();  // shutdown_drain drains the pool
+    for (const auto& s : stores) r.fsyncs += s->wal().fsyncs();
+    for (const auto& s : servers) r.version += s->version();
+    epoll_srv.shutdown();
   }
   std::filesystem::remove_all(dir);
   return r;

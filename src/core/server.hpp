@@ -85,7 +85,7 @@ class Server {
   void restore(const linalg::Vector& w, std::uint64_t version,
                const std::unordered_map<std::uint64_t, DeviceStats>& stats);
 
-  /// Draw-and-discard discard step (multimodel::ModelInstancePool):
+  /// Draw-and-discard discard step (multimodel::DiscardRecords):
   /// replace w wholesale with another instance's parameters. Counts as
   /// one model update — the version and the updater's step clock both
   /// advance, so `steps == version` (what checkpoint restore assumes)

@@ -489,7 +489,7 @@ void run_applier(const ApplierParts& p) {
     cur.classes.resize(cur.work.size(), net::kDefaultDeviceClass);
     cur.apply_seconds += seconds_between(owed_start, Clock::now());
 
-    if (p.records) p.records->end_batch();
+    if (p.records) p.records->end_batch(*p.lanes);
     // The snapshot is taken now, while nothing else is applied, and
     // installed at release: the board never shows uncommitted state.
     if (!p.publish_paused || !p.publish_paused->load(std::memory_order_acquire))

@@ -54,8 +54,9 @@
 // flight and the last one applied are committed and released, before
 // the loop exits: it never leaves records applied but uncommitted.
 //
-// engine::EpollCrowdServer runs one applier over the caller's server;
-// multimodel::ModelInstancePool runs one per model instance.
+// engine::EpollCrowdServer runs one applier per lane (one model
+// instance each); a draw-and-discard pool's overwrites reach a lane's
+// loop as its InternalRecords (src/multimodel/).
 #pragma once
 
 #include <atomic>
@@ -92,8 +93,10 @@ class InternalRecords {
   /// false hands it to the protocol server as a client frame.
   virtual bool apply(const net::Bytes& frame) = 0;
   /// Called on the applier thread once per batch, after the batch is
-  /// applied and before its snapshot is taken.
-  virtual void end_batch() = 0;
+  /// applied and before its snapshot is taken. `lanes` holds every
+  /// lane's queue, by lane index: records bound for another lane are
+  /// pushed there.
+  virtual void end_batch(const std::vector<CheckinQueue*>& lanes) = 0;
 };
 
 /// A batch made only of internal records commits once this many are
@@ -136,6 +139,8 @@ struct ApplierParts {
   /// is its single publisher. Null = always publish.
   const std::atomic<bool>* publish_paused = nullptr;
   InternalRecords* records = nullptr;
+  /// Every lane's queue, handed to `records` at the end of each batch.
+  const std::vector<CheckinQueue*>* lanes = nullptr;
   /// The cohort manager the protocol server dispatches secagg frames to;
   /// set, not-ready secagg requests are held (the park step). Null = no
   /// request is ever held and no frame is inspected for it.

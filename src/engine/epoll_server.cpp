@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "engine/applier.hpp"
+#include "rng/engine.hpp"
 
 namespace crowdml::engine {
 
@@ -27,16 +28,35 @@ net::Bytes make_redirect_frame(const std::string& leader_addr) {
 
 }  // namespace
 
+EpollCrowdServer::Lane::Lane(LaneConfig lane, net::AuthRegistry& auth,
+                             const EngineConfig& config)
+    : server(lane.server),
+      protocol(lane.server, auth, config.trace),
+      board(config.metrics),
+      queue(config.checkin_queue_max, config.metrics),
+      coordinator(lane.coordinator),
+      records(lane.records),
+      group_commit(std::move(lane.group_commit)) {
+  protocol.set_secagg(config.secagg);
+  protocol.set_shard(config.shard);
+  // The board must hold a snapshot before any I/O thread can serve a
+  // checkout from it.
+  board.publish(server);
+}
+
 EpollCrowdServer::EpollCrowdServer(core::Server& server,
                                    net::AuthRegistry& auth,
                                    EngineConfig config)
+    : EpollCrowdServer(
+          {LaneConfig{server, config.group_commit, config.coordinator}}, auth,
+          config, 1) {}
+
+EpollCrowdServer::EpollCrowdServer(std::vector<LaneConfig> lanes,
+                                   net::AuthRegistry& auth,
+                                   EngineConfig config, std::uint64_t seed)
     : config_(std::move(config)),
-      server_(server),
       auth_(auth),
-      protocol_(server, auth, config_.trace),
       counters_(config_.metrics),
-      board_(config_.metrics),
-      queue_(config_.checkin_queue_max, config_.metrics),
       auth_refused_frame_(make_auth_refused_frame()),
       checkouts_served_(registry_of(config_).counter(
           "crowdml_engine_checkouts_served_total",
@@ -57,16 +77,19 @@ EpollCrowdServer::EpollCrowdServer(core::Server& server,
           "Checkouts nacked because the replica's applied position lagged "
           "the leader's committed watermark past --max-read-lag",
           obs::Provenance::kTransportEvent)) {
+  if (lanes.empty())
+    throw std::invalid_argument("EpollCrowdServer: no lanes");
   if (config_.io_threads == 0) config_.io_threads = 1;
   if (config_.checkin_batch_max == 0) config_.checkin_batch_max = 1;
-  group_commit_ = std::move(config_.group_commit);
   set_checkin_redirect(config_.checkin_redirect);
-  protocol_.set_secagg(config_.secagg);
-  protocol_.set_shard(config_.shard);
-
-  // The board must hold a snapshot before any I/O thread can serve a
-  // checkout from it.
-  board_.publish(server_);
+  // Independent draw and route streams, both derived from the seed.
+  std::uint64_t seed_state = seed;
+  draw_state_.store(rng::splitmix64(seed_state));
+  route_state_.store(rng::splitmix64(seed_state));
+  for (LaneConfig& lane : lanes) {
+    lanes_.push_back(std::make_unique<Lane>(std::move(lane), auth, config_));
+    queues_.push_back(&lanes_.back()->queue);
+  }
 
   EventLoop::Options loop_opts;
   loop_opts.idle_timeout_ms = config_.idle_timeout_ms;
@@ -75,11 +98,11 @@ EpollCrowdServer::EpollCrowdServer(core::Server& server,
   loop_opts.trace = config_.trace;
   loops_.reserve(config_.io_threads);
   for (std::size_t i = 0; i < config_.io_threads; ++i) {
-    // With secagg, the applier holds requests per connection and must
+    // With secagg, the appliers hold requests per connection and must
     // hear when one closes.
     if (config_.secagg)
       loop_opts.on_close = [this, i](std::uint64_t conn_id) {
-        closed_.add(loops_[i].get(), conn_id);
+        for (auto& lane : lanes_) lane->closed.add(loops_[i].get(), conn_id);
       };
     loops_.push_back(std::make_unique<EventLoop>(
         loop_opts, [this, i](std::uint64_t conn_id, net::Bytes&& frame) {
@@ -92,23 +115,56 @@ EpollCrowdServer::EpollCrowdServer(core::Server& server,
   listener_ = std::move(*listener);
   port_ = listener_.port();
   acceptor_ = std::thread([this] { accept_loop(); });
-  applier_ = std::thread([this] {
-    run_applier({.queue = queue_,
-                 .server = server_,
-                 .protocol = protocol_,
-                 .board = board_,
-                 .batch_max = config_.checkin_batch_max,
-                 .commit = [this] { return group_commit(); },
-                 .coordinator = config_.coordinator,
-                 .publish_paused = &redirect_active_,
-                 .secagg = config_.secagg,
-                 .closed = config_.secagg ? &closed_ : nullptr,
-                 .metrics = config_.metrics,
-                 .trace = config_.trace});
-  });
+  for (auto& lane : lanes_) {
+    Lane* l = lane.get();
+    l->applier = std::thread([this, l] {
+      run_applier({.queue = l->queue,
+                   .server = l->server,
+                   .protocol = l->protocol,
+                   .board = l->board,
+                   .batch_max = config_.checkin_batch_max,
+                   // Copied under its lock each batch so promotion can
+                   // swap the hook in between commits.
+                   .commit =
+                       [l] {
+                         std::lock_guard<std::mutex> lock(l->gc_mu);
+                         return l->group_commit;
+                       },
+                   .coordinator = l->coordinator,
+                   .publish_paused = &redirect_active_,
+                   .records = l->records,
+                   .lanes = &queues_,
+                   .secagg = config_.secagg,
+                   .closed = config_.secagg ? &l->closed : nullptr,
+                   .metrics = config_.metrics,
+                   .trace = config_.trace});
+    });
+  }
 }
 
 EpollCrowdServer::~EpollCrowdServer() { shutdown(); }
+
+std::vector<long long> EpollCrowdServer::draw_counts() const {
+  std::vector<long long> out;
+  for (const auto& lane : lanes_) out.push_back(lane->draws.load());
+  return out;
+}
+
+std::vector<long long> EpollCrowdServer::route_counts() const {
+  std::vector<long long> out;
+  for (const auto& lane : lanes_) out.push_back(lane->routes.load());
+  return out;
+}
+
+EpollCrowdServer::Lane& EpollCrowdServer::pick(
+    std::atomic<std::uint64_t>& stream) {
+  if (lanes_.size() == 1) return *lanes_[0];
+  // The atomic step is the SplitMix64 state step, so concurrent I/O
+  // threads each get a distinct, well-mixed draw.
+  std::uint64_t state =
+      stream.fetch_add(0x9E3779B97F4A7C15ULL, std::memory_order_relaxed);
+  return *lanes_[rng::splitmix64(state) % lanes_.size()];
+}
 
 std::size_t EpollCrowdServer::connections() const {
   std::size_t total = 0;
@@ -180,8 +236,9 @@ void EpollCrowdServer::on_frame(EventLoop* loop, std::uint64_t conn_id,
             return;
           }
         }
-        const auto snap =
-            config_.draw_snapshot ? config_.draw_snapshot() : board_.current();
+        Lane& lane = pick(draw_state_);
+        lane.draws.fetch_add(1, std::memory_order_relaxed);
+        const auto snap = lane.board.current();
         ++checkouts_served_;
         if (config_.trace)
           config_.trace->event("checkout", {{"device", req.device_id},
@@ -191,11 +248,11 @@ void EpollCrowdServer::on_frame(EventLoop* loop, std::uint64_t conn_id,
         // pre-encoded frame (a payload slice + re-CRC, never a
         // ParamsMessage round trip). Without a coordinator the frame is
         // passed through byte-identically.
-        if (config_.coordinator) {
+        if (lane.coordinator) {
           loop->send(conn_id,
                      net::frame_with_checkin_hint(
-                         snap->params_frame, config_.coordinator->checkout_hint_ms(
-                                                 req.device_class)));
+                         snap->params_frame,
+                         lane.coordinator->checkout_hint_ms(req.device_class)));
         } else {
           loop->send(conn_id, net::Bytes(snap->params_frame));
         }
@@ -256,18 +313,18 @@ void EpollCrowdServer::on_frame(EventLoop* loop, std::uint64_t conn_id,
   work.conn_id = conn_id;
   work.loop = loop;
   work.frame = std::move(frame);
-  const bool admitted = config_.route_checkin
-                            ? config_.route_checkin(std::move(work))
-                            : queue_.try_push(std::move(work));
-  if (!admitted) {
+  Lane& lane = pick(route_state_);
+  if (lane.queue.try_push(std::move(work))) {
+    lane.routes.fetch_add(1, std::memory_order_relaxed);
+  } else {
     // Last-resort shed. With a coordinator the retry hint reserves the
     // (default-class; the frame is not decoded on this path) next paced
     // slot, so turned-away devices rejoin spread out instead of
     // re-colliding after a fixed delay.
     int retry_ms = config_.queue_retry_after_ms;
-    if (config_.coordinator) {
-      config_.coordinator->observe_queue_depth(queue_.depth());
-      retry_ms = config_.coordinator->shed_retry_after_ms(
+    if (lane.coordinator) {
+      lane.coordinator->observe_queue_depth(lane.queue.depth());
+      retry_ms = lane.coordinator->shed_retry_after_ms(
           net::kDefaultDeviceClass, retry_ms);
     }
     if (config_.trace)
@@ -279,7 +336,9 @@ void EpollCrowdServer::on_frame(EventLoop* loop, std::uint64_t conn_id,
   }
 }
 
-void EpollCrowdServer::republish() { board_.publish(server_); }
+void EpollCrowdServer::republish() {
+  for (auto& lane : lanes_) lane->board.publish(lane->server);
+}
 
 void EpollCrowdServer::set_checkin_redirect(const std::string& leader_addr) {
   {
@@ -293,15 +352,8 @@ void EpollCrowdServer::set_checkin_redirect(const std::string& leader_addr) {
 }
 
 void EpollCrowdServer::set_group_commit(std::function<bool()> hook) {
-  std::lock_guard<std::mutex> lock(gc_mu_);
-  group_commit_ = std::move(hook);
-}
-
-std::function<bool()> EpollCrowdServer::group_commit() {
-  // Copied under its lock each batch so promotion can swap the hook in
-  // between commits.
-  std::lock_guard<std::mutex> lock(gc_mu_);
-  return group_commit_;
+  std::lock_guard<std::mutex> lock(lanes_[0]->gc_mu);
+  lanes_[0]->group_commit = std::move(hook);
 }
 
 void EpollCrowdServer::shutdown() {
@@ -309,12 +361,11 @@ void EpollCrowdServer::shutdown() {
   listener_.close();
   if (acceptor_.joinable()) acceptor_.join();
   // Drain before stopping the loops: every admitted request still gets
-  // its response, and the applier's completions post to live loops.
-  queue_.close();
-  if (applier_.joinable()) applier_.join();
-  // Multimodel: the pool's per-instance appliers drain here, while the
-  // loops are still alive to carry their responses.
-  if (config_.shutdown_drain) config_.shutdown_drain();
+  // its response, and the appliers' completions post to live loops. All
+  // queues close first; a record pushed to a closed lane is dropped.
+  for (auto& lane : lanes_) lane->queue.close();
+  for (auto& lane : lanes_)
+    if (lane->applier.joinable()) lane->applier.join();
   for (auto& loop : loops_) loop->stop();
 }
 

@@ -9,10 +9,10 @@
 //     connections on a few threads (nonblocking frame state machines
 //     reusing the net:: codec and deadline semantics) — no OS thread per
 //     device;
-//   - checkouts are served on the I/O thread from the
-//     ModelSnapshotBoard's pre-encoded frame — no state lock, no
-//     serialization work, no contention with updates;
-//   - checkins flow through a bounded MPSC CheckinQueue to one applier
+//   - checkouts are served on the I/O thread from a ModelSnapshotBoard's
+//     pre-encoded frame — no state lock, no serialization work, no
+//     contention with updates;
+//   - checkins flow through a bounded MPSC CheckinQueue to an applier
 //     thread (engine/applier.hpp), which applies them in arrival order
 //     and hands each batch to its committer thread, which group-commits
 //     the batch's WAL records with a single fsync
@@ -24,6 +24,15 @@
 //     "retry_after_ms" nack (net::retry_after_reason) that
 //     ReconnectingDeviceSession honors as its next delay, so overload
 //     degrades into scheduled retries instead of timeout storms.
+//
+// The engine serves k model instances, one *lane* each: a lane is a
+// core::Server with its ProtocolServer, board, queue, applier thread,
+// commit hook, coordinator and optional InternalRecords. k = 1 is the
+// single-model server. At k > 1 (draw-and-discard, src/multimodel/) each
+// authenticated checkout is served from a uniformly drawn lane's board,
+// and every other frame goes to a uniformly drawn lane's queue; the two
+// draws come from seeded SplitMix64 streams, and k = 1 makes no draw.
+// The lane a frame went to answers it, its coordinator's hints included.
 //
 // For one connection sending frames in order, every response byte and
 // the final (w, t) equal what core::ProtocolServer produces handling the
@@ -80,7 +89,9 @@ struct EngineConfig {
   /// store::DurableStore::commit_group here (after
   /// set_group_commit(true)); leave null when no durability layer is
   /// attached (or it appends per record), and the applier then releases
-  /// each batch itself, with no committer thread.
+  /// each batch itself, with no committer thread. The one-lane
+  /// constructor's lane commits with it; with the lanes constructor each
+  /// lane brings its own (LaneConfig) and this one is unused.
   std::function<bool()> group_commit;
   /// Follower mode (read replica): when set to the leader's device
   /// address ("host:port"), checkins are refused on the I/O thread with
@@ -115,23 +126,6 @@ struct EngineConfig {
   /// group-commit barrier. Null (the default) nacks those frames with
   /// "sharding disabled". Must outlive the engine.
   core::ShardHandler* shard = nullptr;
-  /// Multimodel serving (draw-and-discard; src/multimodel/). When set,
-  /// an authenticated checkout is answered from the snapshot this hook
-  /// returns — a uniformly drawn instance's board — instead of the
-  /// engine's own board. Called on I/O threads; must be lock-free-cheap
-  /// and never null-return.
-  std::function<std::shared_ptr<const ModelSnapshot>()> draw_snapshot;
-  /// Multimodel routing: when set, every non-checkout frame is handed
-  /// here (a uniformly drawn instance's CheckinQueue) instead of the
-  /// engine's own queue; false means every instance refused it and the
-  /// I/O thread sheds with the usual retry_after nack. The engine's own
-  /// applier then never sees traffic — the pool's per-instance appliers
-  /// own application, group commit, and board publication.
-  std::function<bool(CheckinWork&&)> route_checkin;
-  /// Called during shutdown() after the engine's own queue is drained
-  /// and before the event loops stop — the pool drains its per-instance
-  /// queues here so every admitted request still answers on a live loop.
-  std::function<void()> shutdown_drain;
   /// Pace steering (src/coord/; docs/SCALING.md "Pace steering"). When
   /// set, every checkout response and checkin ack carries a positive
   /// next_checkin_hint_ms (advisory on checkouts, slot-consuming on
@@ -140,8 +134,9 @@ struct EngineConfig {
   /// stretched to the class's next reserved slot — shedding becomes the
   /// last resort behind steering. Null (the default) disables steering
   /// entirely: ack and params frames are bit-identical to the
-  /// pre-coordinator path. Must outlive the engine; not compatible with
-  /// route_checkin pools (the per-instance appliers own those clocks).
+  /// pre-coordinator path. Must outlive the engine. Like group_commit,
+  /// this is the one-lane constructor's lane's; with the lanes
+  /// constructor each lane brings its own (LaneConfig).
   coord::Coordinator* coordinator = nullptr;
   /// Secure-aggregation cohort manager (docs/PRIVACY.md). Frame types
   /// 11-13 (SecAggAssign/Masked/Reveal) dispatch to it after
@@ -158,22 +153,47 @@ struct EngineConfig {
   obs::TraceSink* trace = nullptr;
 };
 
+/// One lane: the model instance it serves and the hooks its applier runs
+/// with. Everything referenced must outlive the engine.
+struct LaneConfig {
+  core::Server& server;
+  /// This lane's group-commit hook (see EngineConfig::group_commit).
+  std::function<bool()> group_commit;
+  /// This lane's pacing clock: it stamps the hints of the checkouts,
+  /// sheds and checkin acks this lane answers, and is fed this lane's
+  /// queue depth and commits. Null = steering off for the lane.
+  coord::Coordinator* coordinator = nullptr;
+  /// Records that ride this lane's queue with no client behind them (the
+  /// draw-and-discard overwrites). Null = client frames only.
+  InternalRecords* records = nullptr;
+};
+
 class EpollCrowdServer {
  public:
-  /// Binds, publishes the initial snapshot, and starts the I/O loops,
-  /// acceptor, and applier. Throws std::runtime_error when the bind
-  /// fails.
+  /// One lane over `server`, committed by config.group_commit and steered
+  /// by config.coordinator. Binds, publishes the initial snapshot, and
+  /// starts the I/O loops, acceptor, and applier. Throws
+  /// std::runtime_error when the bind fails.
   EpollCrowdServer(core::Server& server, net::AuthRegistry& auth,
                    EngineConfig config);
+  /// One lane per entry of `lanes` (at least one). `seed` seeds the
+  /// checkout-draw and checkin-route streams, which only k > 1 uses.
+  EpollCrowdServer(std::vector<LaneConfig> lanes, net::AuthRegistry& auth,
+                   EngineConfig config, std::uint64_t seed);
   ~EpollCrowdServer();
 
   EpollCrowdServer(const EpollCrowdServer&) = delete;
   EpollCrowdServer& operator=(const EpollCrowdServer&) = delete;
 
   std::uint16_t port() const { return port_; }
-  const core::ProtocolServer& protocol() const { return protocol_; }
-  const ModelSnapshotBoard& board() const { return board_; }
-  const CheckinQueue& queue() const { return queue_; }
+  /// Lane 0's parts (the only lane of a one-model engine).
+  const core::ProtocolServer& protocol() const { return lanes_[0]->protocol; }
+  const ModelSnapshotBoard& board() const { return lanes_[0]->board; }
+  const CheckinQueue& queue() const { return lanes_[0]->queue; }
+  /// Checkouts served from each lane (at k > 1, the checkout draws).
+  std::vector<long long> draw_counts() const;
+  /// Frames each lane's queue admitted (at k > 1, the checkin routes).
+  std::vector<long long> route_counts() const;
   std::size_t connections() const;
   long long checkouts_served() const { return checkouts_served_.value(); }
   long long commit_failures() const { return commit_failures_.value(); }
@@ -186,10 +206,11 @@ class EpollCrowdServer {
     return counters_.snapshot();
   }
 
-  /// Re-publish the snapshot board from the server's current state.
-  /// Follower mode only: called by the replication thread after each
-  /// applied batch (the board's single-publisher contract moves to that
-  /// thread; the applier skips publication while a redirect is active).
+  /// Re-publish every lane's snapshot board from its server's current
+  /// state. Follower mode only: called by the replication thread after
+  /// each applied batch (the board's single-publisher contract moves to
+  /// that thread; the applier skips publication while a redirect is
+  /// active).
   void republish();
 
   /// Retarget (or clear) the follower-mode checkin redirect at runtime.
@@ -202,31 +223,51 @@ class EpollCrowdServer {
     return redirect_active_.load(std::memory_order_acquire);
   }
 
-  /// Swap the group-commit hook (promotion wires the ex-follower's store
-  /// and new shipper in). Takes effect from the next commit.
+  /// Swap lane 0's group-commit hook (promotion wires the ex-follower's
+  /// store and new shipper in). Takes effect from the next commit.
   void set_group_commit(std::function<bool()> hook);
 
-  /// Stop accepting, drain the queue (every admitted request still gets
-  /// its response), stop the loops, and join everything.
+  /// Stop accepting, drain every lane's queue (every admitted request
+  /// still gets its response), stop the loops, and join everything.
   void shutdown();
 
  private:
+  struct Lane {
+    Lane(LaneConfig lane, net::AuthRegistry& auth, const EngineConfig& config);
+
+    core::Server& server;
+    core::ProtocolServer protocol;
+    ModelSnapshotBoard board;
+    CheckinQueue queue;
+    /// Closed connections reported to the applier (secagg only).
+    ClosedConnections closed;
+    coord::Coordinator* const coordinator;
+    InternalRecords* const records;
+    /// Group-commit hook; swappable at runtime (promotion).
+    std::mutex gc_mu;
+    std::function<bool()> group_commit;
+    std::atomic<long long> draws{0};
+    std::atomic<long long> routes{0};
+    std::thread applier;
+  };
+
   void accept_loop();
-  /// The applier's commit step: the current group-commit hook, if any.
-  std::function<bool()> group_commit();
+  /// A lane for the next frame: drawn from `stream` at k > 1, lane 0 at
+  /// k = 1 (no draw).
+  Lane& pick(std::atomic<std::uint64_t>& stream);
   /// Frame dispatch on an I/O thread: auth-valid checkouts are answered
-  /// from the board; everything else is queued for the applier or shed.
+  /// from a lane's board; everything else is queued for a lane's applier
+  /// or shed.
   void on_frame(EventLoop* loop, std::uint64_t conn_id, net::Bytes&& frame);
 
   EngineConfig config_;
-  core::Server& server_;
   net::AuthRegistry& auth_;
-  core::ProtocolServer protocol_;
   core::NetCounters counters_;
-  ModelSnapshotBoard board_;
-  CheckinQueue queue_;
-  /// Closed connections reported to the applier (secagg only).
-  ClosedConnections closed_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  /// Every lane's queue, by lane: where InternalRecords push records.
+  std::vector<CheckinQueue*> queues_;
+  std::atomic<std::uint64_t> draw_state_;
+  std::atomic<std::uint64_t> route_state_;
   /// Pre-encoded refusal frame for checkout auth failures (constant).
   net::Bytes auth_refused_frame_;
   /// Pre-encoded "not leader" nack for checkins in follower mode. The
@@ -236,14 +277,10 @@ class EpollCrowdServer {
   mutable std::mutex redirect_mu_;
   std::string checkin_redirect_;
   net::Bytes checkin_redirect_frame_;
-  /// Group-commit hook; swappable at runtime (promotion).
-  std::mutex gc_mu_;
-  std::function<bool()> group_commit_;
   std::vector<std::unique_ptr<EventLoop>> loops_;
   net::TcpListener listener_;
   std::uint16_t port_ = 0;
   std::thread acceptor_;
-  std::thread applier_;
   std::size_t next_loop_ = 0;  ///< acceptor-thread round-robin cursor
   std::atomic<bool> stopping_{false};
 

@@ -1,72 +1,53 @@
-// Draw-and-discard multi-model serving: k parallel appliers, one model
-// instance each (Pihur et al., "Differentially-Private 'Draw and
-// Discard' Machine Learning", PAPERS.md).
+// Draw-and-discard multi-model serving: the discard step (Pihur et al.,
+// "Differentially-Private 'Draw and Discard' Machine Learning",
+// PAPERS.md).
 //
-// The epoll engine's single applier thread is the last serialization
-// point on the checkin path: every other layer scales out, but all
-// updates still funnel through one thread, one WAL, one group-commit
-// clock. The draw-and-discard scheme removes that ceiling by design
-// rather than by sharding a shared model: the server keeps k
-// *independent* model instances, and
+// The server keeps k *independent* model instances, each served by its
+// own lane of the epoll engine (engine/epoll_server.hpp): a server, a
+// board, a queue, an applier thread and a WAL namespace under --wal-dir
+// (store::DurableStore::instance_dir). The engine does the first two
+// steps of the scheme; this file holds the third:
 //
-//   draw     a checkout serves a uniformly drawn instance's snapshot
-//            (each instance keeps its own pre-encoded Params frame on
-//            its own ModelSnapshotBoard);
-//   update   a checkin routes to a uniformly drawn instance's
-//            CheckinQueue and is applied by that instance's applier
-//            thread (w_i <- Pi_W[w_i - eta g^], the usual Routine 2);
+//   draw     a checkout serves a uniformly drawn lane's snapshot;
+//   update   a checkin routes to a uniformly drawn lane's queue and is
+//            applied by that lane's applier (w_i <- Pi_W[w_i - eta g^],
+//            the usual Routine 2);
 //   discard  the updated instance's parameters then overwrite a
 //            uniformly drawn victim instance, discarding the victim's
 //            previous values.
 //
-// Because instances are independent, the k applier threads run truly in
-// parallel — k WAL streams under one --wal-dir (see
-// store::DurableStore::instance_dir), k group-commit clocks, k boards.
-// The only cross-instance traffic is the discard step, which travels as
-// an *overwrite record* through the victim's own queue and applier: every
-// mutation of instance j still happens on j's applier thread, in j's
-// arrival order, and lands in j's WAL (store::kOpaqueRecordMagic
-// envelope). That is what keeps per-instance recovery bit-reproducible —
-// replaying instance j's log replays the same checkins and the same
-// overwrites in the same order, byte-for-byte equal to a never-crashed
-// witness.
+// The k appliers run in parallel: k WAL streams, k group-commit clocks,
+// k boards. The only cross-instance traffic is the discard step, which
+// travels as an *overwrite record* through the victim lane's own queue
+// and applier: every mutation of instance j still happens on j's applier
+// thread, in j's arrival order, and lands in j's WAL
+// (store::kOpaqueRecordMagic envelope). That is what keeps per-instance
+// recovery bit-reproducible — replaying instance j's log replays the same
+// checkins and the same overwrites in the same order, byte-for-byte equal
+// to a never-crashed witness.
 //
-// Batching deviation: the paper discards once per client update; the
-// applier here draws one victim per applied checkin (so the discard
-// distribution is per-update uniform, which the seeded-RNG tests check)
-// but coalesces same-victim draws within one drained batch into a single
-// overwrite carrying the batch-final parameters. Expected copies of any
-// one update remain 1 and the stationary variance bound k·sigma^2/(2k-1)
-// is unaffected; see docs/PRIVACY.md "Draw-and-discard amplification".
+// Batching deviation: the paper discards once per client update; a lane
+// here draws one victim per applied checkin (so the discard distribution
+// is per-update uniform, which the seeded-RNG tests check) but coalesces
+// same-victim draws within one drained batch into a single overwrite
+// carrying the batch-final parameters. Expected copies of any one update
+// remain 1 and the stationary variance bound k·sigma^2/(2k-1) is
+// unaffected; see docs/PRIVACY.md "Draw-and-discard amplification".
 //
-// Each instance runs the engine's applier loop (engine/applier.hpp) over
-// its own queue, server, store and board; the overwrite records and the
-// discard draws reach that loop as the instance's engine::InternalRecords.
-//
-// k = 1 degenerates exactly to the single-applier engine path: draws and
-// routes always pick instance 0, the only possible discard victim is the
-// updated instance itself (so no draw is made and no overwrite is ever
-// enqueued or logged), and the WAL namespace is the base directory —
-// byte-identical state, WAL, and params frames (tests/multimodel_test.cpp
-// proves it).
+// k = 1 has no discard step: the only possible victim is the updated
+// instance itself, so a one-model lane carries no DiscardRecords, makes
+// no draw, and enqueues or logs no overwrite; its WAL namespace is the
+// base directory — byte-identical state, WAL, and params frames to the
+// single-model server (tests/multimodel_test.cpp proves it).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
-#include <thread>
 #include <vector>
 
-#include "coord/coordinator.hpp"
-#include "core/protocol.hpp"
 #include "core/server.hpp"
 #include "engine/applier.hpp"
 #include "engine/checkin_queue.hpp"
-#include "engine/epoll_server.hpp"
-#include "engine/snapshot_board.hpp"
-#include "net/auth.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "store/durable_store.hpp"
@@ -90,158 +71,57 @@ struct OverwriteRecord {
   static OverwriteRecord deserialize(const net::Bytes& payload);
 };
 
-struct PoolOptions {
-  /// k. 1 reproduces the single-applier path bit for bit.
-  std::size_t instances = 1;
-  /// Seed for the draw/route/discard streams (deterministic given call
-  /// order; per-instance discard streams are split from it by instance).
-  std::uint64_t seed = 1;
-  /// Per-instance CheckinQueue bound; a full queue sheds at the engine.
-  std::size_t checkin_queue_max = 1024;
-  /// Most checkins one applier wakeup applies (and group-commits).
-  std::size_t checkin_batch_max = 256;
-  /// Base directory for the per-instance WAL namespaces ("" = no
-  /// durability). See store::DurableStore::instance_dir for the layout.
-  std::string wal_dir;
-  /// Template for each instance's store (the pool installs its own
-  /// opaque_replay handler; group commit is always enabled).
-  store::DurableStoreOptions store;
-  /// Pace steering with k > 1 (docs/SCALING.md "Pace steering"): builds
-  /// instance `i`'s own Coordinator — k independent per-class clocks,
-  /// each fed only by its own applier's commits and queue depth, each
-  /// stamping consuming hints only on the checkin acks its instance
-  /// applied. The clock lives where the commits it measures happen; a
-  /// shared clock would meter k appliers' capacity through one bucket.
-  /// Null = steering off (ack bytes unchanged). With a factory set,
-  /// leave EngineConfig::coordinator null — checkout hints stay advisory
-  /// and classless shed hints fall back to the engine's fixed retry.
-  std::function<std::unique_ptr<coord::Coordinator>(std::size_t instance)>
-      coordinator_factory;
-  obs::MetricsRegistry* metrics = nullptr;  ///< null = default_registry()
-  obs::TraceSink* trace = nullptr;          ///< null disables
-};
+/// Make stores opened with `opts` replay overwrite records through
+/// Server::overwrite_parameters (leaving version == seq, so recovery and
+/// live apply agree). Any other opaque record goes to the replay handler
+/// installed before this one.
+void install_overwrite_replay(store::DurableStoreOptions& opts);
 
-class ModelInstancePool {
+/// Instance `index` of a k-instance pool (k > 1), as its engine lane's
+/// InternalRecords: it applies the overwrite records that arrive through
+/// the lane's queue, and after each batch draws the discard victims owed
+/// for the updates the batch applied.
+class DiscardRecords final : public engine::InternalRecords {
  public:
-  /// Builds instance `i`'s core::Server (own updater, own RNG stream).
-  using ServerFactory =
-      std::function<std::unique_ptr<core::Server>(std::size_t instance)>;
+  /// `seed` is the pool seed; this instance's discard stream is split
+  /// from it by index. `store` (null = no durability) logs the
+  /// overwrites applied here. Construct once `server` is recovered.
+  /// `metrics` null = obs::default_registry().
+  DiscardRecords(std::size_t index, std::size_t instances, std::uint64_t seed,
+                 core::Server& server, store::DurableStore* store,
+                 obs::MetricsRegistry* metrics = nullptr,
+                 obs::TraceSink* trace = nullptr);
+  DiscardRecords(const DiscardRecords&) = delete;
+  DiscardRecords& operator=(const DiscardRecords&) = delete;
 
-  /// Constructs the k instances and, when wal_dir is set, recovers each
-  /// from its own WAL namespace (independent recovery clocks) and
-  /// attaches its applied-checkin hook with group commit enabled.
-  /// Appliers do not run until start(). Throws store::WalError on
-  /// unrecoverable per-instance state.
-  ModelInstancePool(net::AuthRegistry& auth, const ServerFactory& factory,
-                    PoolOptions options);
-  ~ModelInstancePool();
+  bool apply(const net::Bytes& frame) override;
+  void end_batch(const std::vector<engine::CheckinQueue*>& lanes) override;
 
-  ModelInstancePool(const ModelInstancePool&) = delete;
-  ModelInstancePool& operator=(const ModelInstancePool&) = delete;
-
-  /// Start the k applier threads (each publishes its board first).
-  void start();
-
-  /// Close every queue, drain (every admitted request still answers),
-  /// join the appliers, and sync the stores. Idempotent.
-  void shutdown();
-
-  std::size_t instances() const { return slots_.size(); }
-
-  /// Uniform draw for a checkout — wire into EngineConfig::draw_snapshot.
-  /// An atomic splitmix64 draw plus one board pointer copy.
-  std::shared_ptr<const engine::ModelSnapshot> draw_snapshot();
-
-  /// Uniform routing for a checkin — wire into
-  /// EngineConfig::route_checkin. False when the drawn instance's queue
-  /// is full (the engine sheds with a retry_after nack).
-  bool route_checkin(engine::CheckinWork&& work);
-
-  core::Server& server(std::size_t i) { return *slots_[i]->server; }
-  const core::Server& server(std::size_t i) const {
-    return *slots_[i]->server;
-  }
-  const engine::ModelSnapshotBoard& board(std::size_t i) const {
-    return slots_[i]->board;
-  }
-  /// Null when the pool has no durability layer.
-  store::DurableStore* store(std::size_t i) {
-    return slots_[i]->store.get();
-  }
-  /// Instance i's pacing clock; null when no coordinator_factory was set.
-  coord::Coordinator* coordinator(std::size_t i) {
-    return slots_[i]->coordinator.get();
-  }
-
-  /// Sum of instance versions (total updates applied pool-wide,
-  /// overwrites included).
-  std::uint64_t total_version() const;
-  /// Every instance met its stopping criteria.
-  bool stopped() const;
-
-  // Seeded-draw accounting (the distribution sanity tests).
-  std::vector<long long> draw_counts() const;     ///< checkout draws
-  std::vector<long long> route_counts() const;    ///< checkin routes
-  /// Discard victims drawn, one per applied update. With k = 1 the only
-  /// possible victim is the updated instance itself, so none is drawn.
+  /// Victims this instance's stream drew, by victim instance: one per
+  /// update it applied (self-draws included).
   std::vector<long long> discard_counts() const;
-  long long overwrites_applied() const {
-    return overwrites_applied_.value();
-  }
-  /// Discards dropped because the victim's queue was full. Equivalent to
-  /// the update surviving one extra round — harmless, but counted.
+  /// Overwrites applied to victims, pool-wide (one registry counter).
+  long long overwrites_applied() const { return overwrites_applied_.value(); }
+  /// Discards dropped because the victim's queue was full, pool-wide.
+  /// Equivalent to the update surviving one extra round — harmless, but
+  /// counted.
   long long overwrites_dropped() const { return overwrites_dropped_.value(); }
 
  private:
-  /// One instance. With k > 1 it is also its applier's InternalRecords:
-  /// overwrite records arriving through its queue, and the discard draws
-  /// owed for each batch it applies.
-  struct Slot : engine::InternalRecords {
-    ModelInstancePool* pool;
-    std::size_t index = 0;
-    std::unique_ptr<core::Server> server;
-    std::unique_ptr<core::ProtocolServer> protocol;
-    engine::ModelSnapshotBoard board;
-    engine::CheckinQueue queue;
-    std::unique_ptr<store::DurableStore> store;
-    /// This instance's own pacing clock (null = steering off).
-    std::unique_ptr<coord::Coordinator> coordinator;
-    std::thread applier;
-    /// Discard stream: deterministic per instance (seed split by index).
-    std::uint64_t discard_state = 0;
-    /// Server version at the end of the last batch, and overwrites
-    /// applied since (applier thread only): the current version minus
-    /// both is the number of client updates the batch applied.
-    std::uint64_t seen_version = 0;
-    std::uint64_t batch_overwrites = 0;
-    std::atomic<long long> draws{0};
-    std::atomic<long long> routes{0};
-    std::atomic<long long> discards{0};
-
-    Slot(ModelInstancePool* owner, std::size_t idx,
-         std::unique_ptr<core::Server> srv, net::AuthRegistry& auth,
-         const PoolOptions& opts);
-
-    bool apply(const net::Bytes& frame) override;
-    void end_batch() override;
-  };
-
-  /// Uniform instance index from the shared atomic stream.
-  std::size_t draw_index(std::atomic<std::uint64_t>& state);
-
-  PoolOptions opts_;
-  std::vector<std::unique_ptr<Slot>> slots_;
-  std::atomic<std::uint64_t> draw_state_;
-  std::atomic<std::uint64_t> route_state_;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopped_{false};
-
+  const std::size_t index_;
+  core::Server& server_;
+  store::DurableStore* const store_;
+  obs::TraceSink* const trace_;
+  /// Discard stream: deterministic per instance (seed split by index).
+  std::uint64_t discard_state_;
+  /// Server version at the end of the last batch, and overwrites applied
+  /// since (applier thread only): the current version minus both is the
+  /// number of client updates the batch applied.
+  std::uint64_t seen_version_;
+  std::uint64_t batch_overwrites_ = 0;
+  std::vector<std::atomic<long long>> discards_;
   obs::Counter& overwrites_applied_;
   obs::Counter& overwrites_dropped_;
 };
-
-/// Wire the pool into an engine config: checkout draws, checkin routing,
-/// and the shutdown drain. The engine's own applier/board/queue idle.
-void wire_engine(ModelInstancePool& pool, engine::EngineConfig& config);
 
 }  // namespace crowdml::multimodel

@@ -74,6 +74,7 @@ std::unique_ptr<Node> Node::build(NodeConfig config) {
   node->open_stores();
   node->replicate();
   node->steer();
+  node->discard();
   node->aggregate();
   node->partition();
   node->serve();
@@ -113,11 +114,12 @@ Node::Node(NodeConfig config)
   store_opts_.wal.segment_max_bytes = cfg_.segment_max_bytes;
   store_opts_.wal.metrics = &metrics_;
   store_opts_.trace = trace_.get();
-  // Cross-shard merges are logged as opaque MergeRecords; recovery (and a
-  // follower replaying this shard's WAL) must re-apply them as overwrites.
-  // Harmless when unsharded: no MergeRecord ever appears in the log. A
-  // pool installs its own overwrite replay over this one.
+  // Cross-shard merges and a pool's discard overwrites are logged as
+  // opaque records; recovery (and a follower replaying this shard's WAL)
+  // must re-apply them as overwrites. Each kind is harmless where it
+  // cannot occur: no such record ever appears in that log.
   shard::install_merge_replay(store_opts_);
+  multimodel::install_overwrite_replay(store_opts_);
   // Shared replication-plane HMAC key (empty = unauthenticated); it also
   // seals the shard merge plane.
   if (!cfg_.repl.repl_key_file.empty())
@@ -132,57 +134,26 @@ Node::~Node() {
   if (follower_) follower_->shutdown();
 }
 
-std::unique_ptr<core::Server> Node::make_server(rng::Engine eng) const {
+std::unique_ptr<core::Server> Node::make_server(std::size_t i) const {
+  rng::Engine eng(cfg_.seed);
   return std::make_unique<core::Server>(
       server_cfg_, make_updater(cfg_.updater, cfg_.lr, cfg_.radius),
-      std::move(eng));
+      cfg_.model_instances > 1 ? eng.split(i) : eng);
 }
 
-// Store and server(s). Every store recovers its server strictly before
-// the engine binds, so no device ever talks to a node that has not
-// finished recovering. A follower's replica store is owned by its
-// replica::Follower, a pool's k stores by the pool, and a k = 1 leader's
-// by this node.
+// Servers and stores, one of each per model instance. Every store
+// recovers its server strictly before the engine binds, so no device ever
+// talks to a node that has not finished recovering. Instance i of k
+// recovers from and appends to store::DurableStore::instance_dir (the
+// --wal-dir itself when k = 1). A follower's replica store is owned by its
+// replica::Follower, a leader's by its instance.
 void Node::open_stores() {
-  if (cfg_.model_instances > 1) {
-    // Draw-and-discard pool: k servers, k appliers, k WAL namespaces
-    // under --wal-dir (docs/SCALING.md).
-    multimodel::PoolOptions popts;
-    popts.instances = cfg_.model_instances;
-    popts.seed = static_cast<std::uint64_t>(cfg_.seed);
-    popts.checkin_queue_max = cfg_.checkin_queue_max;
-    popts.wal_dir = wal_dir_;
-    popts.store = store_opts_;
-    popts.metrics = &metrics_;
-    popts.trace = trace_.get();
-    if (cfg_.coord.enabled) {
-      // Pooled steering: one Coordinator per instance, owned by the
-      // applier whose commits it measures. The engine-level coordinator
-      // stays null (checkout hints are advisory; the consuming
-      // checkin-ack hints are the load-bearing pacing mechanism).
-      popts.coordinator_factory = [ccfg = coord_config(),
-                                   classes = cfg_.coord.classes](std::size_t) {
-        return std::make_unique<coord::Coordinator>(ccfg, classes);
-      };
-    }
-    try {
-      pool_ = std::make_unique<multimodel::ModelInstancePool>(
-          auth_,
-          [this](std::size_t i) {
-            return make_server(rng::Engine(cfg_.seed).split(i));
-          },
-          popts);
-    } catch (const store::WalError& e) {
-      throw std::runtime_error("pool recovery from " + wal_dir_ +
-                               " failed (" + e.what() +
-                               "); set the corrupt instance directory aside "
-                               "and restart");
-    }
-    for (std::size_t i = 0; i < pool_->instances(); ++i)
-      instances_.push_back({&pool_->server(i), pool_->store(i)});
-  } else {
-    server_ = make_server(rng::Engine(cfg_.seed));
-    const auto legacy = load_checkpoint();
+  const std::size_t k = cfg_.model_instances;
+  instances_.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    Instance& in = instances_.emplace_back();
+    in.server = make_server(i);
+    const auto legacy = load_checkpoint(*in.server);
     if (cfg_.repl.role == "follower") {
       // A follower recovers from its local replica store, then streams
       // the leader's WAL (docs/REPLICATION.md); the engine redirects its
@@ -210,15 +181,15 @@ void Node::open_stores() {
       fopts.trace = trace_.get();
       try {
         follower_ =
-            std::make_unique<replica::Follower>(*server_, wal_dir_, fopts);
+            std::make_unique<replica::Follower>(*in.server, wal_dir_, fopts);
       } catch (const std::exception& e) {
         throw std::runtime_error(std::string("follower init failed: ") +
                                  e.what());
       }
-      instances_.push_back({server_.get(), &follower_->store()});
-    } else {
-      if (!wal_dir_.empty()) recover_or_refuse(legacy);
-      instances_.push_back({server_.get(), durable_.get()});
+      in.store = &follower_->store();
+    } else if (!wal_dir_.empty()) {
+      recover_or_refuse(in, store::DurableStore::instance_dir(wal_dir_, i, k),
+                        legacy);
     }
   }
   for (const Instance& in : instances_)
@@ -228,7 +199,8 @@ void Node::open_stores() {
 // Missing state is a fresh start; *unreadable* state is refused unless
 // the operator explicitly discards it — silent data loss must never
 // masquerade as a fresh start.
-std::optional<core::ServerCheckpoint> Node::load_checkpoint() {
+std::optional<core::ServerCheckpoint> Node::load_checkpoint(
+    core::Server& server) {
   const std::string& path = cfg_.checkpoint;
   if (path.empty()) return std::nullopt;
   if (!std::filesystem::exists(path)) {
@@ -237,7 +209,7 @@ std::optional<core::ServerCheckpoint> Node::load_checkpoint() {
   }
   try {
     auto cp = core::ServerCheckpoint::load_file(path);
-    server_->restore(cp.w, cp.version, cp.device_stats);
+    server.restore(cp.w, cp.version, cp.device_stats);
     std::printf("restored checkpoint %s at iteration %llu\n", path.c_str(),
                 static_cast<unsigned long long>(cp.version));
     return cp;
@@ -254,52 +226,56 @@ std::optional<core::ServerCheckpoint> Node::load_checkpoint() {
   }
 }
 
-// Recover the k = 1 leader's store (newest snapshot + WAL tail replay),
-// or refuse; with --force-fresh a corrupt log is set aside instead.
+// Recover a leader instance's store in `dir` (newest snapshot + WAL tail
+// replay), or refuse; with --force-fresh a corrupt log is set aside
+// instead. In a pool each instance directory is recovered, refused or set
+// aside on its own.
 void Node::recover_or_refuse(
+    Instance& in, const std::string& dir,
     const std::optional<core::ServerCheckpoint>& legacy) {
-  const auto recover = [this] {
-    durable_ = std::make_unique<store::DurableStore>(wal_dir_, store_opts_);
-    durable_->recover(*server_);
+  const auto recover = [&] {
+    in.durable = std::make_unique<store::DurableStore>(dir, store_opts_);
+    in.durable->recover(*in.server);
   };
   try {
     recover();
   } catch (const store::WalError& e) {
     if (!cfg_.force_fresh)
-      throw std::runtime_error("wal recovery from " + wal_dir_ + " failed (" +
+      throw std::runtime_error("wal recovery from " + dir + " failed (" +
                                e.what() +
                                "); refusing to start — pass --force-fresh "
                                "to set the corrupt log aside");
     // Preserve the evidence rather than deleting it, then start over.
-    const std::string aside = wal_dir_ + ".corrupt";
+    const std::string aside = dir + ".corrupt";
     try {
       std::filesystem::remove_all(aside);
-      std::filesystem::rename(wal_dir_, aside);
+      std::filesystem::rename(dir, aside);
     } catch (const std::filesystem::filesystem_error& fe) {
-      throw std::runtime_error("cannot set corrupt wal " + wal_dir_ +
-                               " aside (" + fe.what() + ")");
+      throw std::runtime_error("cannot set corrupt wal " + dir + " aside (" +
+                               fe.what() + ")");
     }
     std::printf("wal recovery failed (%s); --force-fresh set, corrupt state "
                 "moved to %s\n",
                 e.what(), aside.c_str());
-    durable_.reset();
+    in.durable.reset();
     // The failed attempt may have replayed a prefix; reset to the legacy
     // checkpoint that loaded (if any) before recovering into the now-empty
     // store — only the WAL directory was corrupt, so the checkpoint's
     // state must not be discarded with it.
     if (legacy)
-      server_->restore(legacy->w, legacy->version, legacy->device_stats);
+      in.server->restore(legacy->w, legacy->version, legacy->device_stats);
     else
-      server_->restore(linalg::Vector(server_cfg_.param_dim, 0.0), 0, {});
+      in.server->restore(linalg::Vector(server_cfg_.param_dim, 0.0), 0, {});
     try {
       recover();
     } catch (const store::WalError& e2) {
-      throw std::runtime_error("cannot reinitialize durable store in " +
-                               wal_dir_ + " (" + e2.what() + ")");
+      throw std::runtime_error("cannot reinitialize durable store in " + dir +
+                               " (" + e2.what() + ")");
     }
   }
-  durable_->set_group_commit(true);
-  durable_->attach(*server_);
+  in.durable->set_group_commit(true);
+  in.durable->attach(*in.server);
+  in.store = in.durable.get();
 }
 
 // Leader shipping options, for a leader or a promoted follower. Leases:
@@ -341,8 +317,8 @@ void Node::replicate() {
                       *replica::parse_repl_ack_mode(cfg_.repl.ack_mode),
                       static_cast<std::size_t>(cfg_.repl.followers),
                       cfg_.repl.lease_ms);
-  shipper_ = std::make_unique<replica::LogShipper>(*server_, *durable_, epoch,
-                                                   opts);
+  shipper_ = std::make_unique<replica::LogShipper>(
+      *instances_[0].server, *instances_[0].durable, epoch, opts);
   std::printf("replication: shipping on 127.0.0.1:%u (epoch %llu, ack=%s, "
               "quorum=%zu of %lld followers)\n",
               shipper_->port(), static_cast<unsigned long long>(epoch),
@@ -368,13 +344,28 @@ coord::CoordConfig Node::coord_config() const {
   return c;
 }
 
-// Pace steering (docs/SCALING.md): one coordinator for a k = 1 leader. A
-// pool's per-instance coordinators were built with the pool.
+// Pace steering (docs/SCALING.md): one coordinator per instance, fed by
+// the commits and queue depth of the lane that serves it, and stamping
+// the hints of the frames that lane answers. The clock lives where the
+// commits it measures happen; a shared clock would meter k appliers'
+// capacity through one bucket.
 void Node::steer() {
-  if (!cfg_.coord.enabled || pool_) return;
-  coordinator_ =
-      std::make_unique<coord::Coordinator>(coord_config(), cfg_.coord.classes);
-  engine_cfg_.coordinator = coordinator_.get();
+  if (!cfg_.coord.enabled) return;
+  for (Instance& in : instances_)
+    in.coordinator = std::make_unique<coord::Coordinator>(coord_config(),
+                                                          cfg_.coord.classes);
+}
+
+// Draw-and-discard (docs/SCALING.md): in a pool, each instance's lane
+// carries its discard step. One model has none — its only possible
+// victim is itself.
+void Node::discard() {
+  const std::size_t k = instances_.size();
+  if (k == 1) return;
+  for (std::size_t i = 0; i < k; ++i)
+    instances_[i].discard = std::make_unique<multimodel::DiscardRecords>(
+        i, k, static_cast<std::uint64_t>(cfg_.seed), *instances_[i].server,
+        instances_[i].store, &metrics_, trace_.get());
 }
 
 // Secure-aggregation cohorts (docs/PRIVACY.md): a completed cohort applies
@@ -390,7 +381,7 @@ void Node::aggregate() {
   c.num_classes = server_cfg_.num_classes;
   c.metrics = &metrics_;
   c.trace = trace_.get();
-  core::Server& server = *server_;
+  core::Server& server = *instances_[0].server;
   cohort_ = std::make_unique<secagg::CohortManager>(
       c, [&server](const net::CheckinMessage& m) {
         return server.handle_checkin(m);
@@ -407,10 +398,11 @@ void Node::partition() {
   shard::ShardServiceConfig c;
   c.shard_id = cfg_.shard.shard_id;
   c.key = repl_key_;
-  c.store = durable_.get();
+  c.store = instances_[0].durable.get();
   c.metrics = &metrics_;
   c.trace = trace_.get();
-  shard_service_ = std::make_unique<shard::ShardService>(c, *server_);
+  shard_service_ =
+      std::make_unique<shard::ShardService>(c, *instances_[0].server);
   engine_cfg_.shard = shard_service_.get();
   if (cfg_.shard.map.size() > 1) {
     // Device partitioning: checkins for a device this shard does not own
@@ -427,20 +419,17 @@ void Node::partition() {
   }
 }
 
-// Serving engine (docs/SCALING.md): snapshot checkouts on the I/O loops,
-// checkins applied and group-committed by the applier (or, for a pool,
-// routed to the k instance appliers). Binding it is the last step; the
-// tiers that need the bound device port start after it.
+// Serving engine (docs/SCALING.md): one lane per instance — snapshot
+// checkouts on the I/O loops, checkins applied and group-committed by the
+// lane's applier; a pool draws a lane per checkout and per checkin.
+// Binding it is the last step; the tiers that need the bound device port
+// start after it.
 void Node::serve() {
   engine_cfg_.port = cfg_.port;
   engine_cfg_.io_threads = cfg_.io_threads;
   engine_cfg_.checkin_queue_max = cfg_.checkin_queue_max;
   engine_cfg_.metrics = &metrics_;
   engine_cfg_.trace = trace_.get();
-  if (pool_) {
-    multimodel::wire_engine(*pool_, engine_cfg_);
-    pool_->start();
-  }
   if (follower_) {
     engine_cfg_.checkin_redirect = cfg_.repl.leader_addr;
     if (cfg_.repl.max_read_lag > 0) {
@@ -453,13 +442,18 @@ void Node::serve() {
           static_cast<std::uint64_t>(cfg_.repl.max_read_lag);
     }
   }
-  if (durable_)
-    engine_cfg_.group_commit = leader_commit(*durable_, shipper_.get());
-  // A pool's engine still needs a core::Server for its (idle) board;
-  // instance 0 stands in — checkouts and checkins never touch it once the
-  // pool hooks are wired.
-  engine_ = std::make_unique<engine::EpollCrowdServer>(*instances_[0].server,
-                                                       auth_, engine_cfg_);
+  std::vector<engine::LaneConfig> lanes;
+  for (Instance& in : instances_)
+    lanes.push_back(
+        {.server = *in.server,
+         .group_commit = in.durable
+                             ? leader_commit(*in.durable, shipper_.get())
+                             : nullptr,
+         .coordinator = in.coordinator.get(),
+         .records = in.discard.get()});
+  engine_ = std::make_unique<engine::EpollCrowdServer>(
+      std::move(lanes), auth_, engine_cfg_,
+      static_cast<std::uint64_t>(cfg_.seed));
   if (shipper_) shipper_->set_advertise_leader_addr(device_addr());
   if (follower_) {
     follower_->set_device_addr(device_addr());
@@ -498,10 +492,10 @@ void Node::serve() {
       cfg_.target_error, wal_dir_.empty() ? "(none)" : wal_dir_.c_str(),
       wal_dir_.empty() ? "-" : cfg_.fsync.c_str(), cfg_.io_threads,
       cfg_.checkin_queue_max, cfg_.model_instances, cfg_.report_every_s);
-  if (coordinator_)
+  if (const coord::Coordinator* c = instances_[0].coordinator.get())
     std::printf("config: coord-steering=on classes=%s target-utilization=%g "
                 "min-hint-ms=%lld max-hint-ms=%lld init-rate=%g\n",
-                coordinator_->classes().describe().c_str(),
+                c->classes().describe().c_str(),
                 cfg_.coord.target_utilization, cfg_.coord.min_hint_ms,
                 cfg_.coord.max_hint_ms, cfg_.coord.init_rate);
   if (cohort_)
@@ -552,8 +546,9 @@ bool Node::promote() {
   const std::uint16_t repl_port = follower_->vote_port();
   follower_->shutdown();
   store::DurableStore& store = follower_->store();
+  core::Server& server = *instances_[0].server;
   store.set_group_commit(true);
-  store.attach(*server_);
+  store.attach(server);
   // The ex-followers' detectors still run on --election-timeout-ms;
   // lease well inside it so the new regime is stable.
   auto opts = shipper_options(
@@ -561,8 +556,8 @@ bool Node::promote() {
       std::max<long long>(1, cfg_.repl.election_timeout_ms / 2));
   opts.advertise_leader_addr = device_addr();
   try {
-    shipper_ = std::make_unique<replica::LogShipper>(*server_, store,
-                                                     won_epoch, opts);
+    shipper_ = std::make_unique<replica::LogShipper>(server, store, won_epoch,
+                                                     opts);
   } catch (const std::exception& e) {
     std::fprintf(stderr,
                  "crowdml-server: promotion failed binding replication port "
@@ -582,12 +577,11 @@ bool Node::promote() {
 }
 
 void Node::report() {
-  if (pool_)
+  if (const multimodel::DiscardRecords* d = instances_[0].discard.get())
     std::printf("pool: %zu instances, total iteration %llu (overwrites "
                 "applied %lld, dropped %lld)\n",
-                pool_->instances(),
-                static_cast<unsigned long long>(pool_->total_version()),
-                pool_->overwrites_applied(), pool_->overwrites_dropped());
+                instances_.size(), static_cast<unsigned long long>(iteration()),
+                d->overwrites_applied(), d->overwrites_dropped());
   for (const Instance& in : instances_)
     std::fputs(core::portal_report(*in.server).c_str(), stdout);
   if (cohort_) {
@@ -635,7 +629,7 @@ bool Node::compact(const Instance& in) {
 void Node::save_checkpoint() {
   if (cfg_.checkpoint.empty()) return;
   try {
-    core::checkpoint_server(*server_).save_file(cfg_.checkpoint);
+    core::checkpoint_server(*instances_[0].server).save_file(cfg_.checkpoint);
   } catch (const std::exception& e) {
     std::printf("checkpoint save failed (%s); continuing\n", e.what());
   }
@@ -655,10 +649,9 @@ std::uint64_t Node::iteration() const {
 // Teardown order: the follower and the merge director stop while the
 // engine still runs (a follower republishes through it; a mid-flight merge
 // round finishes against live appliers). The engine's shutdown drains
-// every applier, a pool's included, while the shipper still runs, so the
-// last quorum waits complete; only then does the shipping plane stop. The
-// cohort, coordinator and shard service outlive the engine by declaration
-// order.
+// every lane's applier while the shipper still runs, so the last quorum
+// waits complete; only then does the shipping plane stop. The instances,
+// cohort and shard service outlive the engine by declaration order.
 void Node::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
@@ -689,11 +682,11 @@ void Node::shutdown() {
     }
     std::fputs(core::portal_report(*in.server).c_str(), stdout);
   }
-  if (pool_)
+  if (const multimodel::DiscardRecords* d = instances_[0].discard.get())
     std::printf("pool total iteration %llu (overwrites applied %lld, "
                 "dropped %lld)\n",
-                static_cast<unsigned long long>(pool_->total_version()),
-                pool_->overwrites_applied(), pool_->overwrites_dropped());
+                static_cast<unsigned long long>(iteration()),
+                d->overwrites_applied(), d->overwrites_dropped());
   save_checkpoint();
   if (!cfg_.checkpoint.empty())
     std::printf("checkpoint saved to %s\n", cfg_.checkpoint.c_str());

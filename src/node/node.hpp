@@ -1,7 +1,9 @@
 // One Crowd-ML server node, composed from its tiers (docs/ARCHITECTURE.md,
-// "Composing a node"): the store, the server(s), the serving engine or a
-// draw-and-discard pool, the log shipper or a follower, the coordinator,
-// secure-aggregation cohorts, and the shard service and merge director.
+// "Composing a node"): k model instances (a server, its store, its
+// coordinator and, in a draw-and-discard pool, its discard step), the
+// serving engine with one lane per instance, the log shipper or a
+// follower, secure-aggregation cohorts, and the shard service and merge
+// director.
 //
 // Node::build refuses what node::validate (node/config.hpp) refuses, then
 // builds the tiers in a fixed order; tick() runs the periodic step (a follower's
@@ -80,26 +82,38 @@ class Node {
   }
 
  private:
-  /// One model instance: a server and the store that makes it durable
-  /// (null without --wal-dir). A k = 1 node has one; a pool has k.
+  /// One model instance, served by one engine lane. A k = 1 node has one;
+  /// a pool has k. The single-model tiers (replication, secagg, shards,
+  /// --checkpoint) use instance 0: node::validate refuses them in a pool.
   struct Instance {
-    core::Server* server;
-    store::DurableStore* store;
+    std::unique_ptr<core::Server> server;
+    /// The leader's own store (null on a follower or without --wal-dir).
+    std::unique_ptr<store::DurableStore> durable;
+    /// The store that makes `server` durable: `durable`, a follower's
+    /// replica store, or null without --wal-dir.
+    store::DurableStore* store = nullptr;
+    std::unique_ptr<coord::Coordinator> coordinator;  // --coord-steering
+    std::unique_ptr<multimodel::DiscardRecords> discard;  // k > 1
   };
 
   explicit Node(NodeConfig config);
 
-  // Build steps, in order; each wires its handles into engine_cfg_.
+  // Build steps, in order; each wires its handles into engine_cfg_ or
+  // into the instances the engine's lanes serve.
   void open_stores();
   void replicate();
   void steer();
+  void discard();
   void aggregate();
   void partition();
   void serve();
 
-  std::unique_ptr<core::Server> make_server(rng::Engine eng) const;
-  std::optional<core::ServerCheckpoint> load_checkpoint();
-  void recover_or_refuse(const std::optional<core::ServerCheckpoint>& legacy);
+  /// Instance i's server, seeded from --seed (split by instance in a
+  /// pool).
+  std::unique_ptr<core::Server> make_server(std::size_t i) const;
+  std::optional<core::ServerCheckpoint> load_checkpoint(core::Server& server);
+  void recover_or_refuse(Instance& in, const std::string& dir,
+                         const std::optional<core::ServerCheckpoint>& legacy);
   coord::CoordConfig coord_config() const;
   replica::ShipperOptions shipper_options(std::uint16_t port,
                                           replica::ReplAckMode ack,
@@ -125,18 +139,14 @@ class Node {
   engine::EngineConfig engine_cfg_;
 
   // Tiers, declared so that each outlives the tiers that call into it.
-  std::unique_ptr<core::Server> server_;  // k = 1
-  std::unique_ptr<store::DurableStore> durable_;  // k = 1 leader
+  std::vector<Instance> instances_;
   std::unique_ptr<secagg::CohortManager> cohort_;
-  std::unique_ptr<coord::Coordinator> coordinator_;
   std::unique_ptr<shard::ShardService> shard_service_;
-  std::unique_ptr<multimodel::ModelInstancePool> pool_;  // k > 1
   std::unique_ptr<replica::LogShipper> shipper_;
   std::unique_ptr<replica::Follower> follower_;
   std::unique_ptr<engine::EpollCrowdServer> engine_;
   std::unique_ptr<shard::MergeDirector> merge_director_;
 
-  std::vector<Instance> instances_;
   std::chrono::steady_clock::time_point last_report_;
   bool shut_down_ = false;
 };

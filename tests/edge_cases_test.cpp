@@ -8,7 +8,6 @@
 #include "linalg/pca.hpp"
 #include "metrics/curves.hpp"
 #include "models/logistic_regression.hpp"
-#include "net/channel.hpp"
 #include "net/codec.hpp"
 #include "rng/distributions.hpp"
 #include "sim/simulator.hpp"
@@ -63,15 +62,6 @@ TEST(EdgeCases, CodecEmptyComposites) {
   EXPECT_TRUE(r.get_bytes().empty());
   EXPECT_TRUE(r.get_i64_vector().empty());
   EXPECT_TRUE(r.exhausted());
-}
-
-TEST(EdgeCases, ChannelTryReceiveAfterCloseDrains) {
-  net::ByteChannel ch;
-  ch.send({1});
-  ch.close();
-  EXPECT_TRUE(ch.try_receive().has_value());
-  EXPECT_FALSE(ch.try_receive().has_value());
-  EXPECT_TRUE(ch.closed());
 }
 
 TEST(EdgeCases, SimulatorZeroDelayCascadeAtSameTime) {

@@ -1,25 +1,26 @@
-// Draw-and-discard multi-model pool tests: k=1 bit-parity with the
-// single-applier engine path (state, WAL bytes, cross-recovery),
-// per-instance crash-recovery determinism (recovered pool byte-equal to
-// a never-crashed witness, overwrite replay included), seeded draw /
-// route / discard distribution sanity, and per-instance pace steering.
+// Draw-and-discard multi-model pool tests, served through the engine's
+// lanes (one per instance): k=1 bit-parity with the single-applier engine
+// path (state, WAL bytes, cross-recovery), per-instance crash-recovery
+// determinism (recovered pool byte-equal to a never-crashed witness,
+// overwrite replay included), seeded draw / route / discard distribution
+// sanity, and per-instance pace steering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "coord/coordinator.hpp"
 #include "core/protocol.hpp"
 #include "core/server.hpp"
+#include "engine/epoll_server.hpp"
 #include "multimodel/instance_pool.hpp"
 #include "net/auth.hpp"
+#include "net/tcp.hpp"
+#include "obs/metrics.hpp"
 #include "opt/schedule.hpp"
 #include "store/durable_store.hpp"
 
@@ -60,12 +61,97 @@ std::unique_ptr<opt::Updater> sgd() {
 /// Per-instance server factory all pools in this file share: identical
 /// config, identical updater, rng split by instance — two pools built
 /// from it are byte-comparable instance by instance.
-multimodel::ModelInstancePool::ServerFactory factory() {
+std::function<std::unique_ptr<core::Server>(std::size_t)> factory() {
   return [](std::size_t i) {
     return std::make_unique<core::Server>(server_config(), sgd(),
                                           rng::Engine(7).split(i));
   };
 }
+
+/// A pool of `instances` model instances composed as a node composes one:
+/// servers from factory(), each recovered from its own WAL namespace
+/// under `wal_dir` ("" = no durability) with group commit, its discard
+/// step when k > 1, an optional coordinator each, and one engine lane per
+/// instance.
+class Pool {
+ public:
+  Pool(net::AuthRegistry& auth, std::size_t instances, std::uint64_t seed,
+       const std::string& wal_dir = "", bool steering = false) {
+    std::vector<engine::LaneConfig> lanes;
+    for (std::size_t i = 0; i < instances; ++i) {
+      servers_.push_back(factory()(i));
+      store::DurableStore* store = nullptr;
+      if (!wal_dir.empty()) {
+        store::DurableStoreOptions sopts;
+        multimodel::install_overwrite_replay(sopts);
+        stores_.push_back(std::make_unique<store::DurableStore>(
+            store::DurableStore::instance_dir(wal_dir, i, instances), sopts));
+        store = stores_.back().get();
+        store->recover(*servers_.back());
+        store->attach(*servers_.back());
+        store->set_group_commit(true);
+      }
+      coordinators_.push_back(
+          steering ? std::make_unique<coord::Coordinator>(
+                         coord::CoordConfig{}, coord::DeviceClassTable{})
+                   : nullptr);
+      if (instances > 1)
+        discards_.push_back(std::make_unique<multimodel::DiscardRecords>(
+            i, instances, seed, *servers_.back(), store, &metrics_));
+      lanes.push_back(
+          {.server = *servers_.back(),
+           .group_commit =
+               store ? std::function<bool()>([store] {
+                 return store->commit_group();
+               })
+                     : nullptr,
+           .coordinator = coordinators_.back().get(),
+           .records = instances > 1 ? discards_.back().get() : nullptr});
+    }
+    engine::EngineConfig ecfg;
+    ecfg.metrics = &metrics_;
+    engine_ = std::make_unique<engine::EpollCrowdServer>(
+        std::move(lanes), auth, ecfg, seed);
+  }
+
+  /// Drain every lane (every admitted request answers) and sync the
+  /// stores. Idempotent.
+  void shutdown() {
+    engine_->shutdown();
+    for (auto& store : stores_) store->sync();
+  }
+
+  const engine::EpollCrowdServer& engine() const { return *engine_; }
+  std::size_t instances() const { return servers_.size(); }
+  const core::Server& server(std::size_t i) const { return *servers_[i]; }
+  coord::Coordinator* coordinator(std::size_t i) {
+    return coordinators_[i].get();
+  }
+  std::vector<long long> draw_counts() const { return engine_->draw_counts(); }
+  std::vector<long long> route_counts() const {
+    return engine_->route_counts();
+  }
+  /// Victims drawn pool-wide, by victim instance.
+  std::vector<long long> discard_counts() const {
+    std::vector<long long> out(servers_.size(), 0);
+    for (const auto& d : discards_) {
+      const std::vector<long long> counts = d->discard_counts();
+      for (std::size_t i = 0; i < out.size(); ++i) out[i] += counts[i];
+    }
+    return out;
+  }
+  long long overwrites_applied() const {
+    return discards_.empty() ? 0 : discards_[0]->overwrites_applied();
+  }
+
+ private:
+  obs::MetricsRegistry metrics_;
+  std::vector<std::unique_ptr<core::Server>> servers_;
+  std::vector<std::unique_ptr<store::DurableStore>> stores_;
+  std::vector<std::unique_ptr<coord::Coordinator>> coordinators_;
+  std::vector<std::unique_ptr<multimodel::DiscardRecords>> discards_;
+  std::unique_ptr<engine::EpollCrowdServer> engine_;  // last: stops first
+};
 
 /// A signed checkin frame from an enrolled device; deterministic given
 /// the rng stream.
@@ -94,40 +180,56 @@ bool is_ok_ack(const net::Bytes& response) {
   }
 }
 
-/// Route every frame into the pool and wait until all are answered.
-/// Returns the number of ok acks.
-int feed_checkins(multimodel::ModelInstancePool& pool,
-                  const std::vector<net::Bytes>& frames) {
-  std::atomic<int> answered{0};
-  std::atomic<int> ok{0};
-  for (const net::Bytes& frame : frames) {
-    engine::CheckinWork work;
-    work.frame = frame;
-    work.complete = [&](net::Bytes&& response) {
-      if (is_ok_ack(response)) ok.fetch_add(1);
-      answered.fetch_add(1);
-    };
-    // The bounded queue only sheds under real overload; tests feed well
-    // under the bound, so a failed push is a bug worth failing loudly.
-    EXPECT_TRUE(pool.route_checkin(std::move(work)));
+/// Send every frame through the engine's port on one connection, in
+/// order, and collect one response per frame (in arrival order; at k > 1
+/// lanes answer independently). Frames go out in windows, so a window's
+/// responses never wait on a sender blocked behind them.
+std::vector<net::Bytes> send_all(const Pool& pool,
+                                 const std::vector<net::Bytes>& frames) {
+  constexpr std::size_t kWindow = 64;
+  std::vector<net::Bytes> responses;
+  auto conn =
+      net::TcpConnection::connect("127.0.0.1", pool.engine().port(), 2000);
+  EXPECT_TRUE(conn);
+  if (!conn) return responses;
+  conn->set_deadline_ms(20'000);
+  for (std::size_t sent = 0; sent < frames.size(); sent += kWindow) {
+    const std::size_t n = std::min(kWindow, frames.size() - sent);
+    for (std::size_t i = sent; i < sent + n; ++i)
+      if (!conn->send_frame(frames[i])) return responses;
+    for (std::size_t i = 0; i < n; ++i) {
+      auto reply = conn->recv_frame();
+      if (!reply) return responses;
+      responses.push_back(std::move(*reply));
+    }
   }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (answered.load() < static_cast<int>(frames.size()) &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_EQ(answered.load(), static_cast<int>(frames.size()));
-  return ok.load();
+  return responses;
 }
 
-bool wait_until(const std::function<bool()>& pred, int timeout_ms = 15000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+/// Send every frame and wait until all are answered. Returns the number
+/// of ok acks. The bounded queues only shed under real overload; tests
+/// feed well under the bound, so a shed nack fails the caller's count.
+int feed_checkins(const Pool& pool, const std::vector<net::Bytes>& frames) {
+  const std::vector<net::Bytes> responses = send_all(pool, frames);
+  EXPECT_EQ(responses.size(), frames.size());
+  return static_cast<int>(
+      std::count_if(responses.begin(), responses.end(), is_ok_ack));
+}
+
+/// `n` authenticated checkouts: each one is a draw at k > 1.
+void draw_checkouts(const Pool& pool, net::AuthRegistry& auth, int n) {
+  const net::DeviceCredentials creds = auth.enroll();
+  net::CheckoutRequest req;
+  req.device_id = creds.device_id;
+  req.auth_tag = creds.sign(req.body());
+  const std::vector<net::Bytes> frames(
+      static_cast<std::size_t>(n),
+      net::encode_frame(net::MessageType::kCheckoutRequest, req.serialize()));
+  for (const net::Bytes& response : send_all(pool, frames)) {
+    const net::Frame f = net::decode_frame(response);
+    ASSERT_EQ(f.type, net::MessageType::kParams);
+    ASSERT_TRUE(net::ParamsMessage::deserialize(f.payload).accepted);
   }
-  return pred();
 }
 
 std::vector<char> slurp(const std::filesystem::path& p) {
@@ -174,12 +276,8 @@ TEST(MultiModel, KOneBitIdenticalToSingleApplierPath) {
   }
 
   // Pool with k = 1 over the same frames.
-  multimodel::PoolOptions popts;
-  popts.instances = 1;
-  popts.wal_dir = pool_dir.path;
   {
-    multimodel::ModelInstancePool pool(auth, factory(), popts);
-    pool.start();
+    Pool pool(auth, 1, 1, pool_dir.path);
     EXPECT_EQ(feed_checkins(pool, frames), 40);
     pool.shutdown();
 
@@ -222,17 +320,11 @@ TEST(MultiModel, RecoveryBitReproduciblePerInstance) {
   rng::Engine eng(43);
   for (int i = 0; i < 60; ++i) frames.push_back(make_checkin(auth.enroll(), eng));
 
-  multimodel::PoolOptions popts;
-  popts.instances = 3;
-  popts.seed = 9;
-  popts.wal_dir = dir.path;
-
   std::vector<std::uint64_t> versions;
   std::vector<linalg::Vector> params;
   long long overwrites = 0;
   {
-    multimodel::ModelInstancePool pool(auth, factory(), popts);
-    pool.start();
+    Pool pool(auth, 3, 9, dir.path);
     EXPECT_EQ(feed_checkins(pool, frames), 60);
     pool.shutdown();
     overwrites = pool.overwrites_applied();
@@ -248,7 +340,7 @@ TEST(MultiModel, RecoveryBitReproduciblePerInstance) {
 
   // A second pool over the same directory replays each instance's WAL
   // (checkins and overwrites, in apply order) to byte-equal state.
-  multimodel::ModelInstancePool recovered(auth, factory(), popts);
+  Pool recovered(auth, 3, 9, dir.path);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(recovered.server(i).version(), versions[i]) << "instance " << i;
     EXPECT_EQ(recovered.server(i).parameters(), params[i])
@@ -260,15 +352,11 @@ TEST(MultiModel, RecoveryBitReproduciblePerInstance) {
 
 TEST(InstancePool, DrawRouteAndDiscardRoughlyUniform) {
   net::AuthRegistry auth(rng::Engine(2));
-  multimodel::PoolOptions popts;
-  popts.instances = 4;
-  popts.seed = 1234;
-  multimodel::ModelInstancePool pool(auth, factory(), popts);
-  pool.start();
+  Pool pool(auth, 4, 1234);
 
   // Checkout draws: 4000 over 4 instances, mean 1000, sd ~27. A 700-1300
   // band is >10 sigma — flake-proof, but a stuck or biased stream fails.
-  for (int i = 0; i < 4000; ++i) pool.draw_snapshot();
+  draw_checkouts(pool, auth, 4000);
   for (long long c : pool.draw_counts()) {
     EXPECT_GT(c, 700);
     EXPECT_LT(c, 1300);
@@ -300,14 +388,11 @@ TEST(InstancePool, DrawRouteAndDiscardRoughlyUniform) {
 
 TEST(InstancePool, DrawStreamDeterministicGivenSeed) {
   net::AuthRegistry auth(rng::Engine(2));
-  multimodel::PoolOptions popts;
-  popts.instances = 4;
-  popts.seed = 77;
 
   std::vector<long long> first;
   for (int round = 0; round < 2; ++round) {
-    multimodel::ModelInstancePool pool(auth, factory(), popts);
-    for (int i = 0; i < 1000; ++i) pool.draw_snapshot();
+    Pool pool(auth, 4, 77);
+    draw_checkouts(pool, auth, 1000);
     if (round == 0)
       first = pool.draw_counts();
     else
@@ -319,34 +404,19 @@ TEST(InstancePool, DrawStreamDeterministicGivenSeed) {
 
 TEST(InstancePool, PerInstanceCoordinatorsStampCheckinHints) {
   net::AuthRegistry auth(rng::Engine(2));
-  multimodel::PoolOptions popts;
-  popts.instances = 3;
-  popts.seed = 9;
-  popts.coordinator_factory = [](std::size_t) {
-    return std::make_unique<coord::Coordinator>(coord::CoordConfig{},
-                                                coord::DeviceClassTable{});
-  };
-  multimodel::ModelInstancePool pool(auth, factory(), popts);
+  Pool pool(auth, 3, 9, "", /*steering=*/true);
   for (std::size_t i = 0; i < pool.instances(); ++i)
     ASSERT_NE(pool.coordinator(i), nullptr);
-  pool.start();
 
   // Each applier stamps its own clock's consuming hint on the acks it
   // produced — every ok ack must carry next_checkin_hint_ms > 0.
   constexpr int kFrames = 30;
-  std::vector<net::Bytes> responses(kFrames);
-  std::atomic<int> answered{0};
+  std::vector<net::Bytes> frames;
   rng::Engine eng(91);
-  for (int i = 0; i < kFrames; ++i) {
-    engine::CheckinWork work;
-    work.frame = make_checkin(auth.enroll(), eng);
-    work.complete = [&responses, &answered, i](net::Bytes&& response) {
-      responses[static_cast<std::size_t>(i)] = std::move(response);
-      answered.fetch_add(1);
-    };
-    ASSERT_TRUE(pool.route_checkin(std::move(work)));
-  }
-  ASSERT_TRUE(wait_until([&] { return answered.load() == kFrames; }));
+  for (int i = 0; i < kFrames; ++i)
+    frames.push_back(make_checkin(auth.enroll(), eng));
+  const std::vector<net::Bytes> responses = send_all(pool, frames);
+  ASSERT_EQ(responses.size(), static_cast<std::size_t>(kFrames));
   pool.shutdown();
 
   for (const net::Bytes& response : responses) {
@@ -360,27 +430,15 @@ TEST(InstancePool, PerInstanceCoordinatorsStampCheckinHints) {
 
 TEST(InstancePool, NoCoordinatorFactoryLeavesAckBytesHintFree) {
   net::AuthRegistry auth(rng::Engine(2));
-  multimodel::PoolOptions popts;
-  popts.instances = 3;
-  popts.seed = 9;
-  multimodel::ModelInstancePool pool(auth, factory(), popts);
+  Pool pool(auth, 3, 9);
   for (std::size_t i = 0; i < pool.instances(); ++i)
     EXPECT_EQ(pool.coordinator(i), nullptr);
-  pool.start();
 
-  std::vector<net::Bytes> responses(10);
-  std::atomic<int> answered{0};
+  std::vector<net::Bytes> frames;
   rng::Engine eng(91);
-  for (int i = 0; i < 10; ++i) {
-    engine::CheckinWork work;
-    work.frame = make_checkin(auth.enroll(), eng);
-    work.complete = [&responses, &answered, i](net::Bytes&& response) {
-      responses[static_cast<std::size_t>(i)] = std::move(response);
-      answered.fetch_add(1);
-    };
-    ASSERT_TRUE(pool.route_checkin(std::move(work)));
-  }
-  ASSERT_TRUE(wait_until([&] { return answered.load() == 10; }));
+  for (int i = 0; i < 10; ++i) frames.push_back(make_checkin(auth.enroll(), eng));
+  const std::vector<net::Bytes> responses = send_all(pool, frames);
+  ASSERT_EQ(responses.size(), 10u);
   pool.shutdown();
 
   // Steering off must not perturb the wire: the ack payload ends at the

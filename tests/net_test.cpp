@@ -1,5 +1,5 @@
 // Tests for the wire substrate: codec, CRC-32, SHA-256/HMAC (against
-// published vectors), messages/framing, auth registry, channels, and TCP.
+// published vectors), messages/framing, auth registry, and TCP.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "net/auth.hpp"
-#include "net/channel.hpp"
 #include "net/checksum.hpp"
 #include "net/codec.hpp"
 #include "net/messages.hpp"
@@ -457,65 +456,6 @@ TEST(Auth, RevokedDeviceFails) {
 TEST(Auth, DistinctSecretsPerDevice) {
   AuthRegistry reg(rng::Engine(6));
   EXPECT_NE(reg.enroll().key, reg.enroll().key);
-}
-
-TEST(Channel, FifoOrder) {
-  ByteChannel ch;
-  ch.send({1});
-  ch.send({2});
-  EXPECT_EQ(ch.receive()->at(0), 1);
-  EXPECT_EQ(ch.receive()->at(0), 2);
-}
-
-TEST(Channel, TryReceiveNonBlocking) {
-  ByteChannel ch;
-  EXPECT_FALSE(ch.try_receive().has_value());
-  ch.send({7});
-  EXPECT_EQ(ch.try_receive()->at(0), 7);
-}
-
-TEST(Channel, CloseDrainsThenReturnsNullopt) {
-  ByteChannel ch;
-  ch.send({1});
-  ch.close();
-  EXPECT_FALSE(ch.send({2}));
-  EXPECT_TRUE(ch.receive().has_value());  // drains queued message
-  EXPECT_FALSE(ch.receive().has_value());
-}
-
-TEST(Channel, CloseWakesBlockedReceiver) {
-  ByteChannel ch;
-  std::thread t([&] { EXPECT_FALSE(ch.receive().has_value()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ch.close();
-  t.join();
-}
-
-TEST(Channel, ConcurrentProducersConsumers) {
-  ByteChannel ch;
-  constexpr int kPerProducer = 500;
-  std::atomic<int> received{0};
-  std::vector<std::thread> producers, consumers;
-  for (int p = 0; p < 4; ++p)
-    producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) ch.send({1});
-    });
-  for (int c = 0; c < 4; ++c)
-    consumers.emplace_back([&] {
-      while (ch.receive()) ++received;
-    });
-  for (auto& t : producers) t.join();
-  ch.close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(received.load(), 4 * kPerProducer);
-}
-
-TEST(DuplexChannelPair, BothDirections) {
-  auto [a, b] = DuplexChannel::create();
-  a.send({1});
-  b.send({2});
-  EXPECT_EQ(b.receive()->at(0), 1);
-  EXPECT_EQ(a.receive()->at(0), 2);
 }
 
 TEST(Tcp, LoopbackFrameExchange) {

@@ -92,6 +92,20 @@ std::optional<net::AckMessage> send_checkin(net::TcpConnection& conn,
   return net::AckMessage::deserialize(net::decode_frame(*reply).payload);
 }
 
+/// Sends one signed checkout and reads the parameters it is served.
+std::optional<net::ParamsMessage> checkout(
+    net::TcpConnection& conn, const net::DeviceCredentials& creds) {
+  net::CheckoutRequest req;
+  req.device_id = creds.device_id;
+  req.auth_tag = creds.sign(req.body());
+  if (!conn.send_frame(net::encode_frame(net::MessageType::kCheckoutRequest,
+                                         req.serialize())))
+    return std::nullopt;
+  const auto reply = conn.recv_frame();
+  if (!reply) return std::nullopt;
+  return net::ParamsMessage::deserialize(net::decode_frame(*reply).payload);
+}
+
 }  // namespace
 
 // node::validate is the one validity matrix: every refusal crowdml-server
@@ -513,9 +527,9 @@ TEST(NodeFailover, FollowerPromotedByTickServesQuorumAckedCheckins) {
 }
 
 // A draw-and-discard pool of two instances with pace steering, served
-// through the node's device port: every checkin ack carries its
-// instance's pacing hint, and a node rebuilt on the same --wal-dir
-// recovers each instance's version and parameters.
+// through the node's device port: every checkout and checkin ack carries
+// the pacing hint of the instance that answered it, and a node rebuilt on
+// the same --wal-dir recovers each instance's version and parameters.
 TEST(Node, PoolServesSteeredCheckinsAndRecoversEveryInstance) {
   TempDir dir;
   obs::MetricsRegistry reg;
@@ -536,6 +550,12 @@ TEST(Node, PoolServesSteeredCheckinsAndRecoversEveryInstance) {
       EXPECT_TRUE(ack->ok) << ack->reason;
       EXPECT_GT(ack->next_checkin_hint_ms, 0u);
     }
+    for (int i = 0; i < 10; ++i) {
+      const auto params = checkout(*conn, pool->enrolled()[0]);
+      ASSERT_TRUE(params);
+      EXPECT_TRUE(params->accepted);
+      EXPECT_GT(params->next_checkin_hint_ms, 0u);
+    }
     pool->shutdown();
     for (std::size_t i = 0; i < 2; ++i) {
       versions.push_back(pool->server(i).version());
@@ -551,5 +571,81 @@ TEST(Node, PoolServesSteeredCheckinsAndRecoversEveryInstance) {
     EXPECT_EQ(restarted->server(i).parameters(), params[i])
         << "instance " << i;
   }
+  restarted->shutdown();
+}
+
+// Each pool instance recovers through the single-model path with its own
+// directory: a corrupt segment in instance-001 is refused with the k = 1
+// wording naming that directory, and --force-fresh sets only that
+// instance's log aside while instance 0 keeps its state.
+TEST(Node, PoolCorruptInstanceSegmentIsRefusedOrSetAsideAlone) {
+  TempDir dir;
+  obs::MetricsRegistry reg;
+  node::NodeConfig cfg = small_config(dir, reg);
+  cfg.model_instances = 2;
+  std::uint64_t version0 = 0;
+  linalg::Vector params0;
+  {
+    auto pool = node::Node::build(cfg);
+    auto conn = net::TcpConnection::connect("127.0.0.1", pool->port(), 2000);
+    ASSERT_TRUE(conn);
+    rng::Engine eng(6);
+    for (int i = 0; i < 30; ++i) {
+      const auto ack = send_checkin(
+          *conn, checkin_frame(eng, pool->enrolled()[i % 2]));
+      ASSERT_TRUE(ack);
+      ASSERT_TRUE(ack->ok) << ack->reason;
+    }
+    // No shutdown(): that compacts, and the segments must stay as logged.
+    conn.reset();
+    pool.reset();
+  }
+  const std::string instance1 = dir / "wal/instance-001";
+  std::vector<std::filesystem::path> segments;
+  for (const auto& entry : std::filesystem::directory_iterator(instance1))
+    if (entry.path().filename().string().rfind("wal-", 0) == 0)
+      segments.push_back(entry.path());
+  ASSERT_EQ(segments.size(), 1u);
+  ASSERT_GT(std::filesystem::file_size(segments[0]), 200u);
+  {
+    // A bit flip in the first record, with records logged after it, is
+    // corruption, not a torn tail.
+    std::fstream f(segments[0], std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(30);
+    const char byte = static_cast<char>(f.get());
+    f.seekp(30);
+    f.put(static_cast<char>(byte ^ 0x5a));
+  }
+
+  try {
+    node::Node::build(cfg);
+    FAIL() << "built over a corrupt instance log";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("wal recovery from " + instance1 + " failed (", 0), 0u)
+        << what;
+    EXPECT_NE(what.find("); refusing to start — pass --force-fresh to set the "
+                        "corrupt log aside"),
+              std::string::npos)
+        << what;
+  }
+
+  cfg.force_fresh = true;
+  {
+    auto pool = node::Node::build(cfg);
+    EXPECT_TRUE(std::filesystem::exists(instance1 + ".corrupt"));
+    EXPECT_TRUE(std::filesystem::exists(dir / "wal/instance-000"));
+    EXPECT_FALSE(std::filesystem::exists(dir / "wal.corrupt"));
+    EXPECT_FALSE(std::filesystem::exists(dir / "wal/instance-000.corrupt"));
+    EXPECT_GT(pool->server(0).version(), 0u);
+    EXPECT_EQ(pool->server(1).version(), 0u);
+    version0 = pool->server(0).version();
+    params0 = pool->server(0).parameters();
+    pool->shutdown();
+  }
+  // Instance 0's state is its own log's: a third start recovers it again.
+  auto restarted = node::Node::build(cfg);
+  EXPECT_EQ(restarted->server(0).version(), version0);
+  EXPECT_EQ(restarted->server(0).parameters(), params0);
   restarted->shutdown();
 }
