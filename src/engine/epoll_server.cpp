@@ -84,8 +84,10 @@ EpollCrowdServer::EpollCrowdServer(std::vector<LaneConfig> lanes,
   set_checkin_redirect(config_.checkin_redirect);
   // Independent draw and route streams, both derived from the seed.
   std::uint64_t seed_state = seed;
-  draw_state_.store(rng::splitmix64(seed_state));
-  route_state_.store(rng::splitmix64(seed_state));
+  for (Draws* draws : {&checkout_draws_, &route_draws_}) {
+    draws->state.store(rng::splitmix64(seed_state));
+    draws->counts = std::vector<std::atomic<long long>>(lanes.size());
+  }
   for (LaneConfig& lane : lanes) {
     lanes_.push_back(std::make_unique<Lane>(std::move(lane), auth, config_));
     queues_.push_back(&lanes_.back()->queue);
@@ -144,26 +146,34 @@ EpollCrowdServer::EpollCrowdServer(std::vector<LaneConfig> lanes,
 
 EpollCrowdServer::~EpollCrowdServer() { shutdown(); }
 
-std::vector<long long> EpollCrowdServer::draw_counts() const {
+namespace {
+
+std::vector<long long> load_all(
+    const std::vector<std::atomic<long long>>& counts) {
   std::vector<long long> out;
-  for (const auto& lane : lanes_) out.push_back(lane->draws.load());
+  for (const auto& c : counts) out.push_back(c.load());
   return out;
+}
+
+}  // namespace
+
+std::vector<long long> EpollCrowdServer::draw_counts() const {
+  return load_all(checkout_draws_.counts);
 }
 
 std::vector<long long> EpollCrowdServer::route_counts() const {
-  std::vector<long long> out;
-  for (const auto& lane : lanes_) out.push_back(lane->routes.load());
-  return out;
+  return load_all(route_draws_.counts);
 }
 
-EpollCrowdServer::Lane& EpollCrowdServer::pick(
-    std::atomic<std::uint64_t>& stream) {
+EpollCrowdServer::Lane& EpollCrowdServer::pick(Draws& draws) {
   if (lanes_.size() == 1) return *lanes_[0];
   // The atomic step is the SplitMix64 state step, so concurrent I/O
   // threads each get a distinct, well-mixed draw.
   std::uint64_t state =
-      stream.fetch_add(0x9E3779B97F4A7C15ULL, std::memory_order_relaxed);
-  return *lanes_[rng::splitmix64(state) % lanes_.size()];
+      draws.state.fetch_add(0x9E3779B97F4A7C15ULL, std::memory_order_relaxed);
+  const std::size_t i = rng::splitmix64(state) % lanes_.size();
+  draws.counts[i].fetch_add(1, std::memory_order_relaxed);
+  return *lanes_[i];
 }
 
 std::size_t EpollCrowdServer::connections() const {
@@ -236,8 +246,7 @@ void EpollCrowdServer::on_frame(EventLoop* loop, std::uint64_t conn_id,
             return;
           }
         }
-        Lane& lane = pick(draw_state_);
-        lane.draws.fetch_add(1, std::memory_order_relaxed);
+        Lane& lane = pick(checkout_draws_);
         const auto snap = lane.board.current();
         ++checkouts_served_;
         if (config_.trace)
@@ -313,10 +322,8 @@ void EpollCrowdServer::on_frame(EventLoop* loop, std::uint64_t conn_id,
   work.conn_id = conn_id;
   work.loop = loop;
   work.frame = std::move(frame);
-  Lane& lane = pick(route_state_);
-  if (lane.queue.try_push(std::move(work))) {
-    lane.routes.fetch_add(1, std::memory_order_relaxed);
-  } else {
+  Lane& lane = pick(route_draws_);
+  if (!lane.queue.try_push(std::move(work))) {
     // Last-resort shed. With a coordinator the retry hint reserves the
     // (default-class; the frame is not decoded on this path) next paced
     // slot, so turned-away devices rejoin spread out instead of

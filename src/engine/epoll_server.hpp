@@ -190,9 +190,10 @@ class EpollCrowdServer {
   const core::ProtocolServer& protocol() const { return lanes_[0]->protocol; }
   const ModelSnapshotBoard& board() const { return lanes_[0]->board; }
   const CheckinQueue& queue() const { return lanes_[0]->queue; }
-  /// Checkouts served from each lane (at k > 1, the checkout draws).
+  /// Checkout draws per lane (all zero at k = 1, which makes none).
   std::vector<long long> draw_counts() const;
-  /// Frames each lane's queue admitted (at k > 1, the checkin routes).
+  /// Checkin routes drawn per lane, shed ones included (all zero at
+  /// k = 1).
   std::vector<long long> route_counts() const;
   std::size_t connections() const;
   long long checkouts_served() const { return checkouts_served_.value(); }
@@ -246,15 +247,19 @@ class EpollCrowdServer {
     /// Group-commit hook; swappable at runtime (promotion).
     std::mutex gc_mu;
     std::function<bool()> group_commit;
-    std::atomic<long long> draws{0};
-    std::atomic<long long> routes{0};
     std::thread applier;
   };
 
+  /// A seeded SplitMix64 stream of lane draws, and its draws per lane.
+  struct Draws {
+    std::atomic<std::uint64_t> state{0};
+    std::vector<std::atomic<long long>> counts;
+  };
+
   void accept_loop();
-  /// A lane for the next frame: drawn from `stream` at k > 1, lane 0 at
+  /// A lane for the next frame: drawn from `draws` at k > 1, lane 0 at
   /// k = 1 (no draw).
-  Lane& pick(std::atomic<std::uint64_t>& stream);
+  Lane& pick(Draws& draws);
   /// Frame dispatch on an I/O thread: auth-valid checkouts are answered
   /// from a lane's board; everything else is queued for a lane's applier
   /// or shed.
@@ -266,8 +271,8 @@ class EpollCrowdServer {
   std::vector<std::unique_ptr<Lane>> lanes_;
   /// Every lane's queue, by lane: where InternalRecords push records.
   std::vector<CheckinQueue*> queues_;
-  std::atomic<std::uint64_t> draw_state_;
-  std::atomic<std::uint64_t> route_state_;
+  Draws checkout_draws_;
+  Draws route_draws_;
   /// Pre-encoded refusal frame for checkout auth failures (constant).
   net::Bytes auth_refused_frame_;
   /// Pre-encoded "not leader" nack for checkins in follower mode. The
